@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -359,23 +360,48 @@ Result<serve::Endpoint> EndpointFromFlags(const Flags& flags) {
   return Status::InvalidArgument("need --socket <path> or --port <n>");
 }
 
-// --follow targets: "unix:<path>", "tcp:<port>", a bare port, or
-// "<host>:<port>" (the host part is ignored — connections are loopback
-// only, like everything else in the transport).
-Result<serve::Endpoint> ParseFollowTarget(const std::string& spec) {
-  if (StartsWith(spec, "unix:")) {
-    return serve::Endpoint::Unix(spec.substr(5));
+// --targets "a,b,c": endpoints in the ParseEndpointSpec grammar
+// (unix:<path>, tcp:<port>, or a bare port); empty entries are skipped.
+Result<std::vector<serve::Endpoint>> TargetsFromSpec(const std::string& spec) {
+  std::vector<serve::Endpoint> targets;
+  for (const std::string& entry : SplitString(spec, ',')) {
+    if (entry.empty()) continue;
+    GVEX_ASSIGN_OR_RETURN(serve::Endpoint target,
+                          cluster::ParseEndpointSpec(entry));
+    targets.push_back(std::move(target));
   }
-  std::string port = spec;
-  if (StartsWith(port, "tcp:")) port = port.substr(4);
-  const size_t colon = port.rfind(':');
-  if (colon != std::string::npos) port = port.substr(colon + 1);
-  const long n = std::atol(port.c_str());
-  if (n <= 0 || n > 65535) {
-    return Status::InvalidArgument("bad --follow target '" + spec +
-                                   "' (want unix:<path> or tcp:<port>)");
+  return targets;
+}
+
+// The publish flag group shared by `publish --targets`, `publish
+// --shard-map`, and `serve --ingest` auto-publish.
+cluster::PublishOptions PublishOptionsFromFlags(const Flags& flags) {
+  cluster::PublishOptions popts;
+  popts.retries = static_cast<int>(flags.GetInt("retry", 2));
+  popts.backoff_base_ms =
+      static_cast<uint32_t>(flags.GetInt("retry-backoff-ms", 50));
+  popts.jitter_seed = static_cast<uint64_t>(flags.GetInt("seed", 0));
+  popts.health_gate = !flags.Has("no-health-gate");
+  return popts;
+}
+
+// One row per publish target ("shard" or "target"), then the tally;
+// returns the aggregate outcome (kPartialFailure on a mixed one).
+Status PrintPublishReport(const char* noun,
+                          const cluster::PublishReport& report) {
+  for (const cluster::TargetReport& row : report.targets) {
+    if (row.status.ok()) {
+      std::printf("%s %s: ok (attempts %d, fingerprint %s)\n", noun,
+                  row.target.c_str(), row.attempts, row.fingerprint.c_str());
+    } else {
+      std::printf("%s %s: %s (attempts %d%s)\n", noun, row.target.c_str(),
+                  row.status.ToString().c_str(), row.attempts,
+                  row.probed ? "" : ", never probed healthy");
+    }
   }
-  return serve::Endpoint::Tcp(static_cast<uint16_t>(n));
+  std::printf("published %zu/%zu %ss\n", report.succeeded,
+              report.targets.size(), noun);
+  return report.Aggregate();
 }
 
 Status CmdServe(const Flags& flags) {
@@ -423,7 +449,7 @@ Status CmdServe(const Flags& flags) {
   std::unique_ptr<cluster::Replicator> replicator;
   if (follow) {
     cluster::ReplicatorOptions ropts;
-    GVEX_ASSIGN_OR_RETURN(ropts.primary, ParseFollowTarget(*follow));
+    GVEX_ASSIGN_OR_RETURN(ropts.primary, cluster::ParseEndpointSpec(*follow));
     ropts.poll_interval_ms =
         static_cast<uint32_t>(flags.GetInt("poll-ms", 200));
     ropts.jitter_seed = static_cast<uint64_t>(flags.GetInt("seed", 0));
@@ -453,12 +479,7 @@ Status CmdServe(const Flags& flags) {
     iopts.resume = flags.Has("resume");
     iopts.config = ConfigFromFlags(flags);
     if (auto targets_spec = flags.Get("targets")) {
-      for (const std::string& entry : SplitString(*targets_spec, ',')) {
-        if (entry.empty()) continue;
-        GVEX_ASSIGN_OR_RETURN(serve::Endpoint target,
-                              ParseFollowTarget(entry));
-        iopts.targets.push_back(std::move(target));
-      }
+      GVEX_ASSIGN_OR_RETURN(iopts.targets, TargetsFromSpec(*targets_spec));
     }
     if (auto map_path = flags.Get("shard-map")) {
       GVEX_ASSIGN_OR_RETURN(cluster::ShardMap map,
@@ -466,11 +487,7 @@ Status CmdServe(const Flags& flags) {
       iopts.shard_map =
           std::make_shared<const cluster::ShardMap>(std::move(map));
     }
-    iopts.publish.retries = static_cast<int>(flags.GetInt("retry", 2));
-    iopts.publish.backoff_base_ms =
-        static_cast<uint32_t>(flags.GetInt("retry-backoff-ms", 50));
-    iopts.publish.jitter_seed = static_cast<uint64_t>(flags.GetInt("seed", 0));
-    iopts.publish.health_gate = !flags.Has("no-health-gate");
+    iopts.publish = PublishOptionsFromFlags(flags);
     ingester = std::make_unique<ingest::IngestManager>(
         &registry,
         std::make_shared<const GcnClassifier>(std::move(ingest_model)),
@@ -610,42 +627,13 @@ Result<Graph> LoadGraphFile(const std::string& path) {
 
 Result<serve::Request> BuildClientRequest(const Flags& flags) {
   GVEX_ASSIGN_OR_RETURN(std::string type_name, flags.Require("type"));
-  serve::Request req;
-  if (type_name == "ping") {
-    req.type = serve::RequestType::kPing;
-  } else if (type_name == "support") {
-    req.type = serve::RequestType::kSupport;
-  } else if (type_name == "contains") {
-    req.type = serve::RequestType::kSubgraphsContaining;
-  } else if (type_name == "hits") {
-    req.type = serve::RequestType::kFindHits;
-  } else if (type_name == "discriminative") {
-    req.type = serve::RequestType::kDiscriminativePatterns;
-  } else if (type_name == "classify") {
-    req.type = serve::RequestType::kClassifyExplain;
-  } else if (type_name == "stats") {
-    req.type = serve::RequestType::kStats;
-  } else if (type_name == "shutdown") {
-    req.type = serve::RequestType::kShutdown;
-  } else if (type_name == "generations") {
-    req.type = serve::RequestType::kGenerations;
-  } else if (type_name == "fetch") {
-    req.type = serve::RequestType::kFetch;
-  } else if (type_name == "health") {
-    req.type = serve::RequestType::kHealth;
-  } else if (type_name == "shardinfo") {
-    req.type = serve::RequestType::kShardInfo;
-  } else if (type_name == "coverage") {
-    req.type = serve::RequestType::kCoverageStats;
-  } else if (type_name == "topviews") {
-    req.type = serve::RequestType::kTopViews;
-  } else if (type_name == "ingest") {
-    req.type = serve::RequestType::kIngest;
-  } else if (type_name == "evaluate") {
-    req.type = serve::RequestType::kEvaluate;
-  } else {
+  const std::optional<serve::RequestType> type =
+      serve::RequestTypeFromName(type_name);
+  if (!type) {
     return Status::InvalidArgument("unknown request type: " + type_name);
   }
+  serve::Request req;
+  req.type = *type;
   if (auto route = flags.Get("route")) req.route = *route;
   req.id = static_cast<uint64_t>(flags.GetInt("id", 1));
   req.label = static_cast<ClassLabel>(flags.GetInt("label", -1));
@@ -822,25 +810,34 @@ void PrintClientResponse(const serve::Request& req,
   }
 }
 
-/// `client --retry` re-issues load-shed responses: kOverloaded (global
-/// queue full) and kQuotaExceeded (per-route budget) both mean "try
-/// later, the server is healthy". kTimeout is deliberately NOT retried —
-/// the deadline already charged the server for the work once, and a
-/// retry would double-spend it (SERVING.md "overload and retries").
-bool RetryableShed(StatusCode code) {
-  return code == StatusCode::kOverloaded || code == StatusCode::kQuotaExceeded;
+/// `--retry N` on the client verbs (client, ingest, evaluate): re-issue a
+/// request shed with kOverloaded (exit 12; global queue full) or
+/// kQuotaExceeded (exit 13; per-route budget) up to N more times,
+/// sleeping the shared exponential backoff schedule (`--retry-backoff-ms`
+/// base, default 100) between attempts — both mean "try later, the
+/// server is healthy". kTimeout is deliberately NOT retried: the deadline
+/// already charged the server for the work once, and a retry would
+/// double-spend it (SERVING.md "overload and retries").
+Result<serve::Response> CallRetryingSheds(
+    const Flags& flags,
+    const std::function<Result<serve::Response>()>& call) {
+  const int retries = static_cast<int>(flags.GetInt("retry", 0));
+  const uint32_t backoff_ms =
+      static_cast<uint32_t>(flags.GetInt("retry-backoff-ms", 100));
+  for (int attempt = 1;; ++attempt) {
+    GVEX_ASSIGN_OR_RETURN(serve::Response resp, call());
+    if ((resp.code != StatusCode::kOverloaded &&
+         resp.code != StatusCode::kQuotaExceeded) ||
+        attempt > retries) {
+      return resp;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(
+        cluster::RetryBackoffMs(attempt, backoff_ms, 10000)));
+  }
 }
 
 Status CmdClient(const Flags& flags) {
   GVEX_ASSIGN_OR_RETURN(serve::Request req, BuildClientRequest(flags));
-
-  // --retry N: re-issue a request shed with kOverloaded (exit 12) or
-  // kQuotaExceeded (exit 13) up to N more times, sleeping the shared
-  // exponential backoff schedule between attempts (SERVING.md "overload
-  // and retries"; see RetryableShed for why timeouts stay final).
-  const int retries = static_cast<int>(flags.GetInt("retry", 0));
-  const uint32_t backoff_ms =
-      static_cast<uint32_t>(flags.GetInt("retry-backoff-ms", 100));
 
   serve::Response resp;
   if (auto local_views = flags.Get("local")) {
@@ -856,12 +853,8 @@ Status CmdClient(const Flags& flags) {
     serve::ExplanationServer server(&registry, options);
     GVEX_RETURN_NOT_OK(server.Start());
     serve::ServeHandle handle(&server);
-    for (int attempt = 1;; ++attempt) {
-      resp = handle.Call(req);
-      if (!RetryableShed(resp.code) || attempt > retries) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(
-          cluster::RetryBackoffMs(attempt, backoff_ms, 10000)));
-    }
+    GVEX_ASSIGN_OR_RETURN(
+        resp, CallRetryingSheds(flags, [&] { return handle.Call(req); }));
     server.Stop();
   } else if (auto map_path = flags.Get("shard-map")) {
     // Library mode of the frontend: an in-process ShardRouter over the
@@ -875,22 +868,14 @@ Status CmdClient(const Flags& flags) {
         static_cast<uint32_t>(flags.GetInt("shard-deadline-ms", 0));
     GVEX_ASSIGN_OR_RETURN(std::unique_ptr<cluster::ShardRouter> router,
                           cluster::MakeSocketRouter(std::move(map), ropts));
-    for (int attempt = 1;; ++attempt) {
-      resp = router->Call(req);
-      if (!RetryableShed(resp.code) || attempt > retries) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(
-          cluster::RetryBackoffMs(attempt, backoff_ms, 10000)));
-    }
+    GVEX_ASSIGN_OR_RETURN(
+        resp, CallRetryingSheds(flags, [&] { return router->Call(req); }));
   } else {
     GVEX_ASSIGN_OR_RETURN(serve::Endpoint endpoint, EndpointFromFlags(flags));
     serve::SocketClient client;
     GVEX_RETURN_NOT_OK(client.Connect(endpoint));
-    for (int attempt = 1;; ++attempt) {
-      GVEX_ASSIGN_OR_RETURN(resp, client.Call(req));
-      if (!RetryableShed(resp.code) || attempt > retries) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(
-          cluster::RetryBackoffMs(attempt, backoff_ms, 10000)));
-    }
+    GVEX_ASSIGN_OR_RETURN(
+        resp, CallRetryingSheds(flags, [&] { return client.Call(req); }));
   }
   if (resp.code == StatusCode::kPartialResult) {
     // Print the merged partial payload, then exit with the distinct
@@ -930,11 +915,7 @@ Status PublishZoo(const Flags& flags, const std::string& path) {
 
   std::vector<serve::Endpoint> targets;
   if (auto targets_spec = flags.Get("targets")) {
-    for (const std::string& entry : SplitString(*targets_spec, ',')) {
-      if (entry.empty()) continue;
-      GVEX_ASSIGN_OR_RETURN(serve::Endpoint target, ParseFollowTarget(entry));
-      targets.push_back(std::move(target));
-    }
+    GVEX_ASSIGN_OR_RETURN(targets, TargetsFromSpec(*targets_spec));
     if (targets.empty()) {
       return Status::InvalidArgument("--targets named no endpoints");
     }
@@ -1035,28 +1016,10 @@ Status CmdPublish(const Flags& flags) {
   if (auto map_path = flags.Get("shard-map")) {
     GVEX_ASSIGN_OR_RETURN(cluster::ShardMap map,
                           cluster::ShardMap::Load(*map_path));
-    cluster::PublishOptions popts;
-    popts.retries = static_cast<int>(flags.GetInt("retry", 2));
-    popts.backoff_base_ms =
-        static_cast<uint32_t>(flags.GetInt("retry-backoff-ms", 50));
-    popts.jitter_seed = static_cast<uint64_t>(flags.GetInt("seed", 0));
-    popts.health_gate = !flags.Has("no-health-gate");
-    GVEX_ASSIGN_OR_RETURN(cluster::PublishReport report,
-                          cluster::ShardedPublish(bundle, map, popts));
-    for (const cluster::TargetReport& row : report.targets) {
-      if (row.status.ok()) {
-        std::printf("shard %s: ok (attempts %d, fingerprint %s)\n",
-                    row.target.c_str(), row.attempts,
-                    row.fingerprint.c_str());
-      } else {
-        std::printf("shard %s: %s (attempts %d%s)\n", row.target.c_str(),
-                    row.status.ToString().c_str(), row.attempts,
-                    row.probed ? "" : ", never probed healthy");
-      }
-    }
-    std::printf("published %zu/%zu shards\n", report.succeeded,
-                report.targets.size());
-    return report.Aggregate();
+    GVEX_ASSIGN_OR_RETURN(
+        cluster::PublishReport report,
+        cluster::ShardedPublish(bundle, map, PublishOptionsFromFlags(flags)));
+    return PrintPublishReport("shard", report);
   }
 
   // --targets a,b,c: health-gated fan-out to several servers at once
@@ -1064,33 +1027,11 @@ Status CmdPublish(const Flags& flags) {
   // exit with the distinct partial-failure code; failed targets keep
   // serving their previous generation untouched.
   if (auto targets_spec = flags.Get("targets")) {
-    cluster::PublishOptions popts;
-    for (const std::string& entry : SplitString(*targets_spec, ',')) {
-      if (entry.empty()) continue;
-      GVEX_ASSIGN_OR_RETURN(serve::Endpoint target, ParseFollowTarget(entry));
-      popts.targets.push_back(std::move(target));
-    }
-    popts.retries = static_cast<int>(flags.GetInt("retry", 2));
-    popts.backoff_base_ms =
-        static_cast<uint32_t>(flags.GetInt("retry-backoff-ms", 50));
-    popts.jitter_seed = static_cast<uint64_t>(flags.GetInt("seed", 0));
-    popts.health_gate = !flags.Has("no-health-gate");
+    cluster::PublishOptions popts = PublishOptionsFromFlags(flags);
+    GVEX_ASSIGN_OR_RETURN(popts.targets, TargetsFromSpec(*targets_spec));
     GVEX_ASSIGN_OR_RETURN(cluster::PublishReport report,
                           cluster::FanOutPublish(bundle, popts));
-    for (const cluster::TargetReport& row : report.targets) {
-      if (row.status.ok()) {
-        std::printf("target %s: ok (attempts %d, fingerprint %s)\n",
-                    row.target.c_str(), row.attempts,
-                    row.fingerprint.c_str());
-      } else {
-        std::printf("target %s: %s (attempts %d%s)\n", row.target.c_str(),
-                    row.status.ToString().c_str(), row.attempts,
-                    row.probed ? "" : ", never probed healthy");
-      }
-    }
-    std::printf("published %zu/%zu targets\n", report.succeeded,
-                report.targets.size());
-    return report.Aggregate();
+    return PrintPublishReport("target", report);
   }
 
   GVEX_ASSIGN_OR_RETURN(std::string encoded, cluster::EncodeBundle(bundle));
@@ -1123,16 +1064,8 @@ Status CmdIngest(const Flags& flags) {
   GVEX_RETURN_NOT_OK(client.Connect(endpoint));
   const std::string route =
       flags.Get("route").value_or(cluster::kDefaultRoute);
-  const int retries = static_cast<int>(flags.GetInt("retry", 0));
-  const uint32_t backoff_ms =
-      static_cast<uint32_t>(flags.GetInt("retry-backoff-ms", 100));
-  auto call = [&](const serve::Request& req) -> Result<serve::Response> {
-    for (int attempt = 1;; ++attempt) {
-      GVEX_ASSIGN_OR_RETURN(serve::Response resp, client.Call(req));
-      if (!RetryableShed(resp.code) || attempt > retries) return resp;
-      std::this_thread::sleep_for(std::chrono::milliseconds(
-          cluster::RetryBackoffMs(attempt, backoff_ms, 10000)));
-    }
+  auto call = [&](const serve::Request& req) {
+    return CallRetryingSheds(flags, [&] { return client.Call(req); });
   };
 
   size_t sent = 0;
@@ -1220,18 +1153,11 @@ Status CmdEvaluate(const Flags& flags) {
   // an unrelated connect failure.
   GVEX_RETURN_NOT_OK(zoo::ParseEvalSpec(req.text).status());
 
-  const int retries = static_cast<int>(flags.GetInt("retry", 0));
-  const uint32_t backoff_ms =
-      static_cast<uint32_t>(flags.GetInt("retry-backoff-ms", 100));
   serve::SocketClient client;
   GVEX_RETURN_NOT_OK(client.Connect(endpoint));
-  serve::Response resp;
-  for (int attempt = 1;; ++attempt) {
-    GVEX_ASSIGN_OR_RETURN(resp, client.Call(req));
-    if (!RetryableShed(resp.code) || attempt > retries) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(
-        cluster::RetryBackoffMs(attempt, backoff_ms, 10000)));
-  }
+  GVEX_ASSIGN_OR_RETURN(
+      serve::Response resp,
+      CallRetryingSheds(flags, [&] { return client.Call(req); }));
   if (!resp.ok()) return resp.ToStatus();
   std::printf("%s", resp.text.c_str());
 
@@ -1360,28 +1286,11 @@ Status CmdFrontend(const Flags& flags) {
 }
 
 // Scripts dispatch on the exit code, so each StatusCode maps to a
-// distinct one (documented in README.md "Exit codes"). 1 is reserved
-// for crashes/signals, 2 doubles as usage error in the getopt tradition.
+// distinct one: the code plus 1 (documented in README.md "Exit codes").
+// 1 is reserved for crashes/signals, and kInvalidArgument's 2 doubles as
+// usage error in the getopt tradition.
 int ExitCodeForStatus(const Status& st) {
-  switch (st.code()) {
-    case StatusCode::kOk: return 0;
-    case StatusCode::kInvalidArgument: return 2;
-    case StatusCode::kNotFound: return 3;
-    case StatusCode::kOutOfRange: return 4;
-    case StatusCode::kAlreadyExists: return 5;
-    case StatusCode::kFailedPrecondition: return 6;
-    case StatusCode::kInternal: return 7;
-    case StatusCode::kIoError: return 8;
-    case StatusCode::kTimeout: return 9;
-    case StatusCode::kUnimplemented: return 10;
-    case StatusCode::kInfeasible: return 11;
-    case StatusCode::kOverloaded: return 12;
-    case StatusCode::kQuotaExceeded: return 13;
-    case StatusCode::kPartialFailure: return 14;
-    case StatusCode::kPartialResult: return 15;
-    case StatusCode::kEvaluationFailed: return 16;
-  }
-  return 7;
+  return st.ok() ? 0 : static_cast<int>(st.code()) + 1;
 }
 
 }  // namespace

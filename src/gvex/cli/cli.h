@@ -32,9 +32,9 @@
 //   gvex_tool client  (--socket PATH | --port N | --local views.txt
 //                      [--model model.txt] | --shard-map map.bin)
 //                     --type ping|support|contains|hits|discriminative|
-//                            classify|stats|generations|health|fetch|
-//                            shutdown|shardinfo|coverage|topviews|ingest|
-//                            evaluate
+//                            classify|stats|shutdown|install|generations|
+//                            fetch|health|shardinfo|coverage|topviews|
+//                            ingest|evaluate
 //                     [--label L --against L2 --pattern p.txt
 //                      --graph g.txt | --graph-db db.txt --graph-index I
 //                      --semantics subgraph|induced --max-embeddings 64

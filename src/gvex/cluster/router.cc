@@ -4,6 +4,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
+#include <numeric>
 #include <sstream>
 
 #include "gvex/obs/obs.h"
@@ -12,45 +13,57 @@ namespace gvex {
 namespace cluster {
 
 namespace serve = gvex::serve;
+using serve::ErrorResponse;
 using serve::Request;
 using serve::RequestType;
 using serve::Response;
+using serve::RouterPlan;
 using serve::ViewCoverage;
 
 namespace {
-
-bool IsPatternQuery(RequestType type) {
-  return type == RequestType::kSupport ||
-         type == RequestType::kSubgraphsContaining ||
-         type == RequestType::kFindHits;
-}
-
-bool IsScatterQuery(RequestType type) {
-  return IsPatternQuery(type) ||
-         type == RequestType::kDiscriminativePatterns ||
-         type == RequestType::kShardInfo ||
-         type == RequestType::kCoverageStats ||
-         type == RequestType::kTopViews ||
-         type == RequestType::kGenerations ||
-         type == RequestType::kHealth;
-}
 
 std::string RouteOf(const Request& req) {
   return req.route.empty() ? kDefaultRoute : req.route;
 }
 
-Response ErrorResponse(const Request& req, const Status& status) {
-  Response resp;
-  resp.id = req.id;
-  resp.code = status.code();
-  resp.message = status.message();
-  return resp;
+/// Why a contains answer cannot be translated to corpus-global ranks.
+Status NoShardInfo(const Status& cause) {
+  return Status::FailedPrecondition(
+      "cannot globalize subgraph positions (shard-info scatter failed: " +
+      cause.message() + ")");
 }
 
 /// A leg answered usably when the transport succeeded; a server-side
 /// error code is a definitive answer (the shard is up and said no), not
 /// a reason to treat the shard as missing.
 bool LegUsable(const Result<Response>& leg) { return leg.ok(); }
+
+/// Fleet-wide coverage rows from the shard answers `from`, keyed by
+/// label: counts and explainability sum, pattern-tier sizes do not
+/// (tiers are replicated to every shard), covered graph ids merge
+/// ascending.
+std::map<ClassLabel, ViewCoverage> MergeCoverage(
+    const std::vector<Result<Response>>& legs,
+    const std::vector<size_t>& from) {
+  std::map<ClassLabel, ViewCoverage> merged;
+  for (size_t i : from) {
+    for (const ViewCoverage& row : legs[i]->coverage) {
+      ViewCoverage& m = merged[row.label];
+      m.label = row.label;
+      m.patterns = std::max(m.patterns, row.patterns);
+      m.subgraphs += row.subgraphs;
+      m.nodes += row.nodes;
+      m.edges += row.edges;
+      m.explainability += row.explainability;
+      m.graph_indices.insert(m.graph_indices.end(), row.graph_indices.begin(),
+                             row.graph_indices.end());
+    }
+  }
+  for (auto& [label, row] : merged) {
+    std::sort(row.graph_indices.begin(), row.graph_indices.end());
+  }
+  return merged;
+}
 
 }  // namespace
 
@@ -111,18 +124,34 @@ Result<Response> LocalShardChannel::CallStandby(const Request& req) {
 // ---- router -----------------------------------------------------------------
 
 /// Per-route translation table built from a full kShardInfo scatter.
-/// `global[label]` is the corpus-wide covered-graph list in ascending
-/// graph-index order — the same order a union server's view.subgraphs
-/// carries (the explain pipeline sorts subgraph tiers by graph index) —
-/// and `shard_to_global[shard]` maps each shard-local subgraph position
-/// to its corpus-global rank.
+/// A merged row's graph ids are the label's corpus-wide covered-graph
+/// list in ascending graph-index order — the same order a union server's
+/// view.subgraphs carries (the explain pipeline sorts subgraph tiers by
+/// graph index) — and `shard_to_global[shard]` maps each shard-local
+/// subgraph position to its rank in that list.
 struct ShardRouter::RouteIndex {
   struct LabelIndex {
-    std::vector<uint64_t> global;
     std::vector<std::vector<uint64_t>> shard_to_global;
   };
   std::map<ClassLabel, LabelIndex> labels;
   std::vector<ViewCoverage> merged;  ///< fleet-wide kShardInfo rows
+
+  /// Rewrite `shard`'s local subgraph positions of `label` in place as
+  /// corpus-global ranks.
+  Status Globalize(ClassLabel label, size_t shard,
+                   std::vector<uint64_t>* positions) const {
+    auto it = labels.find(label);
+    for (uint64_t& idx : *positions) {
+      if (it == labels.end() ||
+          idx >= it->second.shard_to_global[shard].size()) {
+        return Status::Internal(
+            "stale shard-info table (republished views? restart the "
+            "frontend)");
+      }
+      idx = it->second.shard_to_global[shard][idx];
+    }
+    return Status::OK();
+  }
 };
 
 ShardRouter::ShardRouter(ShardMap map,
@@ -320,10 +349,6 @@ ShardRouter::ShardInfoFor(const std::string& route) {
   }
   for (std::thread& t : threads) t.join();
 
-  auto index = std::make_shared<RouteIndex>();
-  // Shard-local covered-graph lists, per label, in subgraph order.
-  std::map<ClassLabel, std::vector<std::vector<uint64_t>>> local;
-  std::map<ClassLabel, ViewCoverage> merged;
   for (size_t i = 0; i < n; ++i) {
     if (!LegUsable(legs[i])) {
       return Status(legs[i].status().code(),
@@ -332,37 +357,24 @@ ShardRouter::ShardInfoFor(const std::string& route) {
                         legs[i].status().message());
     }
     if (!legs[i]->ok()) return legs[i]->ToStatus();
-    for (const ViewCoverage& row : legs[i]->coverage) {
-      auto& per_shard = local[row.label];
-      per_shard.resize(n);
-      per_shard[i] = row.graph_indices;
-      ViewCoverage& m = merged[row.label];
-      m.label = row.label;
-      m.patterns = std::max(m.patterns, row.patterns);
-      m.subgraphs += row.subgraphs;
-      m.nodes += row.nodes;
-      m.edges += row.edges;
-      m.explainability += row.explainability;
-    }
   }
-  for (auto& [label, per_shard] : local) {
-    per_shard.resize(n);
-    RouteIndex::LabelIndex& li = index->labels[label];
-    for (const auto& ids : per_shard) {
-      li.global.insert(li.global.end(), ids.begin(), ids.end());
-    }
-    std::sort(li.global.begin(), li.global.end());
-    li.shard_to_global.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      li.shard_to_global[i].reserve(per_shard[i].size());
-      for (uint64_t gi : per_shard[i]) {
-        const auto at =
-            std::lower_bound(li.global.begin(), li.global.end(), gi);
-        li.shard_to_global[i].push_back(
-            static_cast<uint64_t>(at - li.global.begin()));
+  std::vector<size_t> all(n);
+  std::iota(all.begin(), all.end(), 0);
+  std::map<ClassLabel, ViewCoverage> merged = MergeCoverage(legs, all);
+  auto index = std::make_shared<RouteIndex>();
+  for (const auto& [label, row] : merged) {
+    index->labels[label].shard_to_global.resize(n);
+  }
+  for (size_t i = 0; i < n; ++i) {
+    for (const ViewCoverage& row : legs[i]->coverage) {
+      const std::vector<uint64_t>& global = merged[row.label].graph_indices;
+      std::vector<uint64_t>& ranks =
+          index->labels[row.label].shard_to_global[i];
+      for (uint64_t gi : row.graph_indices) {
+        const auto at = std::lower_bound(global.begin(), global.end(), gi);
+        ranks.push_back(static_cast<uint64_t>(at - global.begin()));
       }
     }
-    merged[label].graph_indices = li.global;
   }
   for (auto& [label, row] : merged) index->merged.push_back(std::move(row));
 
@@ -378,29 +390,15 @@ Response ShardRouter::PointQuery(const Request& req, size_t shard) {
   }
   GVEX_COUNTER_INC("router.point_queries");
   Result<Response> leg = HedgedCall(shard, req);
-  if (!leg.ok()) return ErrorResponse(req, leg.status());
+  if (!leg.ok()) return ErrorResponse(req.id, leg.status());
   Response resp = *std::move(leg);
   if (resp.ok() && req.type == RequestType::kSubgraphsContaining) {
     // The shard answered with slice-local subgraph positions; translate
     // to the corpus-global ranks a union server would report.
     auto info = ShardInfoFor(RouteOf(req));
-    if (!info.ok()) {
-      return ErrorResponse(
-          req, Status::FailedPrecondition(
-                   "cannot globalize subgraph positions (shard-info scatter "
-                   "failed: " +
-                   info.status().message() + ")"));
-    }
-    auto label_it = (*info)->labels.find(req.label);
-    for (uint64_t& idx : resp.indices) {
-      if (label_it == (*info)->labels.end() ||
-          idx >= label_it->second.shard_to_global[shard].size()) {
-        return ErrorResponse(req, Status::Internal(
-                                      "stale shard-info table (republished "
-                                      "views? restart the frontend)"));
-      }
-      idx = label_it->second.shard_to_global[shard][idx];
-    }
+    if (!info.ok()) return ErrorResponse(req.id, NoShardInfo(info.status()));
+    Status st = (*info)->Globalize(req.label, shard, &resp.indices);
+    if (!st.ok()) return ErrorResponse(req.id, st);
   }
   return resp;
 }
@@ -424,13 +422,7 @@ Response ShardRouter::Scatter(const Request& req) {
   std::shared_ptr<const RouteIndex> index;
   if (req.type == RequestType::kSubgraphsContaining) {
     auto info = ShardInfoFor(RouteOf(req));
-    if (!info.ok()) {
-      return ErrorResponse(
-          req, Status::FailedPrecondition(
-                   "cannot globalize subgraph positions (shard-info scatter "
-                   "failed: " +
-                   info.status().message() + ")"));
-    }
+    if (!info.ok()) return ErrorResponse(req.id, NoShardInfo(info.status()));
     index = *info;
   }
 
@@ -459,9 +451,9 @@ Response ShardRouter::Scatter(const Request& req) {
     }
   }
   if (answered.empty()) {
-    return ErrorResponse(req, first_error.ok()
-                                  ? Status::Internal("no shards configured")
-                                  : first_error);
+    return ErrorResponse(req.id, first_error.ok()
+                                     ? Status::Internal("no shards configured")
+                                     : first_error);
   }
 
   Response resp;
@@ -482,18 +474,11 @@ Response ShardRouter::Scatter(const Request& req) {
       break;
     }
     case RequestType::kSubgraphsContaining: {
-      auto label_it = index->labels.find(req.label);
       for (size_t i : answered) {
-        for (uint64_t idx : legs[i]->indices) {
-          if (label_it == index->labels.end() ||
-              idx >= label_it->second.shard_to_global[i].size()) {
-            return ErrorResponse(req, Status::Internal(
-                                          "stale shard-info table "
-                                          "(republished views? restart the "
-                                          "frontend)"));
-          }
-          resp.indices.push_back(label_it->second.shard_to_global[i][idx]);
-        }
+        std::vector<uint64_t>& ranks = legs[i]->indices;
+        Status st = index->Globalize(req.label, i, &ranks);
+        if (!st.ok()) return ErrorResponse(req.id, st);
+        resp.indices.insert(resp.indices.end(), ranks.begin(), ranks.end());
       }
       std::sort(resp.indices.begin(), resp.indices.end());
       resp.support = resp.indices.size();
@@ -529,34 +514,11 @@ Response ShardRouter::Scatter(const Request& req) {
     case RequestType::kShardInfo:
     case RequestType::kCoverageStats:
     case RequestType::kTopViews: {
-      std::map<ClassLabel, ViewCoverage> merged;
-      for (size_t i : answered) {
-        for (const ViewCoverage& row : legs[i]->coverage) {
-          ViewCoverage& m = merged[row.label];
-          m.label = row.label;
-          m.patterns = std::max(m.patterns, row.patterns);
-          m.subgraphs += row.subgraphs;
-          m.nodes += row.nodes;
-          m.edges += row.edges;
-          m.explainability += row.explainability;
-          m.graph_indices.insert(m.graph_indices.end(),
-                                 row.graph_indices.begin(),
-                                 row.graph_indices.end());
-        }
-      }
-      for (auto& [label, row] : merged) {
-        std::sort(row.graph_indices.begin(), row.graph_indices.end());
+      for (auto& [label, row] : MergeCoverage(legs, answered)) {
         resp.coverage.push_back(std::move(row));
       }
       if (req.type == RequestType::kTopViews) {
-        std::sort(resp.coverage.begin(), resp.coverage.end(),
-                  [](const ViewCoverage& a, const ViewCoverage& b) {
-                    if (a.explainability != b.explainability) {
-                      return a.explainability > b.explainability;
-                    }
-                    return a.label < b.label;
-                  });
-        if (resp.coverage.size() > req.top_k) resp.coverage.resize(req.top_k);
+        serve::RankTopViews(req.top_k, &resp.coverage);
       }
       break;
     }
@@ -584,7 +546,7 @@ Response ShardRouter::Scatter(const Request& req) {
       break;
     }
     default:
-      return ErrorResponse(req,
+      return ErrorResponse(req.id,
                            Status::Unimplemented("unhandled scatter type"));
   }
 
@@ -609,44 +571,47 @@ Response ShardRouter::Scatter(const Request& req) {
 }
 
 Response ShardRouter::Call(const Request& req) {
-  Response resp;
-  resp.id = req.id;
-  switch (req.type) {
-    case RequestType::kPing:
-      resp.text = req.text.empty() ? "pong" : req.text;
-      return resp;
-    case RequestType::kStats:
+  const RouterPlan plan = serve::InfoOf(req.type).router;
+  if (plan == RouterPlan::kLocal) {
+    Response resp;
+    resp.id = req.id;
+    if (req.type == RequestType::kStats) {
       resp.text = StatsJson();
-      return resp;
-    case RequestType::kShutdown:
+    } else if (req.type == RequestType::kShutdown) {
       resp.text = "shutting down";
-      return resp;
-    case RequestType::kInstall:
-    case RequestType::kFetch:
-      return ErrorResponse(
-          req, Status::Unimplemented(
-                   "the frontend hosts no views; use `gvex publish "
-                   "--shard-map` to ship per-shard bundles"));
-    default:
-      break;
+    } else {  // kPing
+      resp.text = req.text.empty() ? "pong" : req.text;
+    }
+    return resp;
+  }
+  if (plan == RouterPlan::kRejected) {
+    return ErrorResponse(
+        req.id, Status::Unimplemented(
+                    "the frontend hosts no views; use `gvex publish "
+                    "--shard-map` to ship per-shard bundles"));
   }
   if (!req.route.empty() && !IsValidRouteName(req.route)) {
     return ErrorResponse(
-        req, Status::InvalidArgument("invalid route name: '" + req.route +
-                                     "' (want 1..64 chars of [A-Za-z0-9_.-])"));
+        req.id,
+        Status::InvalidArgument("invalid route name: '" + req.route +
+                                "' (want 1..64 chars of [A-Za-z0-9_.-])"));
   }
-  if (req.type == RequestType::kClassifyExplain) {
-    // Pattern tiers and models are replicated, so any shard answers
-    // byte-identically; pick a deterministic home per route.
-    return PointQuery(req, map_.OwnerOf(RouteOf(req), 0));
+  switch (plan) {
+    case RouterPlan::kHome:
+      // Pattern tiers and models are replicated, so any shard answers
+      // byte-identically; pick a deterministic home per route.
+      return PointQuery(req, map_.OwnerOf(RouteOf(req), 0));
+    case RouterPlan::kPointOrScatter:
+      if (req.graph_index < 0) return Scatter(req);
+      return PointQuery(
+          req, map_.OwnerOf(RouteOf(req),
+                            static_cast<uint64_t>(req.graph_index)));
+    case RouterPlan::kScatter:
+      return Scatter(req);
+    default:
+      return ErrorResponse(req.id,
+                           Status::Unimplemented("unhandled request type"));
   }
-  if (req.graph_index >= 0 && IsPatternQuery(req.type)) {
-    return PointQuery(
-        req, map_.OwnerOf(RouteOf(req),
-                          static_cast<uint64_t>(req.graph_index)));
-  }
-  if (IsScatterQuery(req.type)) return Scatter(req);
-  return ErrorResponse(req, Status::Unimplemented("unhandled request type"));
 }
 
 Result<std::unique_ptr<ShardRouter>> MakeSocketRouter(ShardMap map,

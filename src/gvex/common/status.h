@@ -29,6 +29,9 @@ enum class StatusCode : int {
   kEvaluationFailed = 15,  // an explainer scorecard fell below the quality gate
 };
 
+/// The highest StatusCode: wire decoders reject any code above it.
+inline constexpr StatusCode kLastStatusCode = StatusCode::kEvaluationFailed;
+
 /// \brief Outcome of a fallible operation.
 ///
 /// An OK status carries no allocation; error statuses carry a code and a

@@ -10,7 +10,6 @@
 namespace gvex {
 
 namespace {
-constexpr const char* kMagicV1 = "gvexviews-v1";
 constexpr const char* kMagicV2 = "gvexviews-v2";
 constexpr const char* kEndTag = "gvexviews-end";
 
@@ -89,44 +88,27 @@ Status WriteViewSet(const ExplanationViewSet& set, std::ostream* out) {
   return Status::OK();
 }
 
-Status WriteViewSetV1(const ExplanationViewSet& set, std::ostream* out) {
-  (*out) << kMagicV1 << "\n" << set.views.size() << "\n";
-  for (const ExplanationView& view : set.views) {
-    GVEX_RETURN_NOT_OK(WriteViewRecord(view, out));
-  }
-  if (!out->good()) return Status::IoError("view stream write failed");
-  return Status::OK();
-}
-
 Result<ExplanationViewSet> ReadViewSet(std::istream* in) {
   GVEX_FAILPOINT_RETURN("view_io.read");
   std::string magic;
-  if (!((*in) >> magic)) return Status::IoError("bad view-set magic");
+  if (!((*in) >> magic) || magic != kMagicV2) {
+    return Status::IoError("bad view-set magic");
+  }
   size_t num_views = 0;
   if (!((*in) >> num_views)) return Status::IoError("bad view count");
   ExplanationViewSet set;
-  if (magic == kMagicV2) {
-    for (size_t vi = 0; vi < num_views; ++vi) {
-      GVEX_ASSIGN_OR_RETURN(std::string payload, ReadSection(in));
-      std::istringstream rec(payload);
-      GVEX_ASSIGN_OR_RETURN(ExplanationView view, ReadViewRecord(&rec));
-      set.views.push_back(std::move(view));
-    }
-    std::string tag;
-    size_t n_end = 0;
-    if (!((*in) >> tag >> n_end) || tag != kEndTag || n_end != num_views) {
-      return Status::IoError("view-set end marker missing (truncated file?)");
-    }
-    return set;
+  for (size_t vi = 0; vi < num_views; ++vi) {
+    GVEX_ASSIGN_OR_RETURN(std::string payload, ReadSection(in));
+    std::istringstream rec(payload);
+    GVEX_ASSIGN_OR_RETURN(ExplanationView view, ReadViewRecord(&rec));
+    set.views.push_back(std::move(view));
   }
-  if (magic == kMagicV1) {
-    for (size_t vi = 0; vi < num_views; ++vi) {
-      GVEX_ASSIGN_OR_RETURN(ExplanationView view, ReadViewRecord(in));
-      set.views.push_back(std::move(view));
-    }
-    return set;
+  std::string tag;
+  size_t n_end = 0;
+  if (!((*in) >> tag >> n_end) || tag != kEndTag || n_end != num_views) {
+    return Status::IoError("view-set end marker missing (truncated file?)");
   }
-  return Status::IoError("bad view-set magic");
+  return set;
 }
 
 Status SaveViewSet(const ExplanationViewSet& set, const std::string& path) {

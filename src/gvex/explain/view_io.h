@@ -3,9 +3,8 @@
 // (views are materialized structures — the database-views heritage of the
 // paper).
 //
-// Writers emit the v2 format (per-view CRC32 sections + end marker);
-// readers accept v2 and legacy v1. SaveViewSet is atomic (temp + rename)
-// and retries transient IO errors.
+// The format is v2 (per-view CRC32 sections + end marker; DESIGN.md §6).
+// SaveViewSet is atomic (temp + rename) and retries transient IO errors.
 #pragma once
 
 #include <iosfwd>
@@ -18,9 +17,6 @@ namespace gvex {
 
 Status WriteViewSet(const ExplanationViewSet& set, std::ostream* out);
 Result<ExplanationViewSet> ReadViewSet(std::istream* in);
-
-/// Legacy v1 stream writer (migration tooling and compat tests).
-Status WriteViewSetV1(const ExplanationViewSet& set, std::ostream* out);
 
 Status SaveViewSet(const ExplanationViewSet& set, const std::string& path);
 Result<ExplanationViewSet> LoadViewSet(const std::string& path);

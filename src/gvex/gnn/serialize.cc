@@ -9,7 +9,6 @@
 namespace gvex {
 
 namespace {
-constexpr const char* kMagicV1 = "gvexgcn-v1";
 constexpr const char* kMagicV2 = "gvexgcn-v2";
 constexpr const char* kEndTag = "gvexgcn-end";
 
@@ -89,21 +88,6 @@ Result<GcnClassifier> ReadV2Body(std::istream* in) {
   return model;
 }
 
-Result<GcnClassifier> ReadV1Body(std::istream* in) {
-  GcnConfig config;
-  GVEX_RETURN_NOT_OK(ReadConfigLine(in, &config));
-  GVEX_ASSIGN_OR_RETURN(GcnClassifier model, GcnClassifier::Create(config));
-  for (Matrix* p : model.MutableParameters()) {
-    Matrix loaded;
-    if (!ReadMatrix(in, &loaded)) return Status::IoError("bad model tensor");
-    if (loaded.rows() != p->rows() || loaded.cols() != p->cols()) {
-      return Status::IoError("model tensor shape mismatch");
-    }
-    *p = std::move(loaded);
-  }
-  return model;
-}
-
 }  // namespace
 
 Status GcnSerializer::Write(const GcnClassifier& model, std::ostream* out) {
@@ -128,20 +112,11 @@ Status GcnSerializer::Write(const GcnClassifier& model, std::ostream* out) {
   return Status::OK();
 }
 
-Status GcnSerializer::WriteV1(const GcnClassifier& model, std::ostream* out) {
-  (*out) << kMagicV1 << "\n";
-  WriteConfigLine(model.config(), out);
-  for (const Matrix* p : model.Parameters()) WriteMatrix(*p, out);
-  if (!out->good()) return Status::IoError("model write failed");
-  return Status::OK();
-}
-
 Result<GcnClassifier> GcnSerializer::Read(std::istream* in) {
   GVEX_FAILPOINT_RETURN("gnn.serialize.read");
   std::string magic;
   if (!((*in) >> magic)) return Status::IoError("bad model magic");
   if (magic == kMagicV2) return ReadV2Body(in);
-  if (magic == kMagicV1) return ReadV1Body(in);
   return Status::IoError("bad model magic");
 }
 

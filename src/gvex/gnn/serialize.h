@@ -1,10 +1,10 @@
 // Save/load trained GCN models so benches can reuse pretrained classifiers
 // instead of retraining per experiment.
 //
-// Write emits the v2 format: a config section plus one CRC32-framed
-// section per parameter tensor, with an end marker for truncation
-// detection. Read accepts v2 and legacy v1. Save is atomic (temp +
-// rename) with retry on transient IO errors.
+// The format is v2: a config section plus one CRC32-framed section per
+// parameter tensor, with an end marker for truncation detection
+// (DESIGN.md §6). Save is atomic (temp + rename) with retry on transient
+// IO errors.
 #pragma once
 
 #include <iosfwd>
@@ -19,9 +19,6 @@ class GcnSerializer {
  public:
   static Status Write(const GcnClassifier& model, std::ostream* out);
   static Result<GcnClassifier> Read(std::istream* in);
-
-  /// Legacy v1 stream writer (migration tooling and compat tests).
-  static Status WriteV1(const GcnClassifier& model, std::ostream* out);
 
   static Status Save(const GcnClassifier& model, const std::string& path);
   static Result<GcnClassifier> Load(const std::string& path);

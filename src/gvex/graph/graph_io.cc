@@ -10,7 +10,6 @@
 namespace gvex {
 
 namespace {
-constexpr const char* kMagicV1 = "gvexdb-v1";
 constexpr const char* kMagicV2 = "gvexdb-v2";
 constexpr const char* kEndTag = "gvexdb-end";
 constexpr const char* kGraphMagic = "gvexgraph-v1";
@@ -31,16 +30,6 @@ Status ReadDbRecord(std::istream* in, GraphDatabase* db) {
   GVEX_ASSIGN_OR_RETURN(Graph g, ReadGraph(in));
   db->Add(std::move(g), label, name == "-" ? "" : name);
   return Status::OK();
-}
-
-Result<GraphDatabase> ReadDatabaseV1Body(std::istream* in) {
-  size_t m = 0;
-  if (!((*in) >> m)) return Status::IoError("bad graph count");
-  GraphDatabase db;
-  for (size_t i = 0; i < m; ++i) {
-    GVEX_RETURN_NOT_OK(ReadDbRecord(in, &db));
-  }
-  return db;
 }
 
 Result<GraphDatabase> ReadDatabaseV2Body(std::istream* in) {
@@ -141,15 +130,6 @@ Status WriteDatabase(const GraphDatabase& db, std::ostream* out) {
   return Status::OK();
 }
 
-Status WriteDatabaseV1(const GraphDatabase& db, std::ostream* out) {
-  (*out) << kMagicV1 << "\n" << db.size() << "\n";
-  for (size_t i = 0; i < db.size(); ++i) {
-    GVEX_RETURN_NOT_OK(WriteDbRecord(db, i, out));
-  }
-  if (!out->good()) return Status::IoError("database stream write failed");
-  return Status::OK();
-}
-
 Status SaveDatabase(const GraphDatabase& db, const std::string& path) {
   return RetryIo([&] {
     return AtomicSave(path,
@@ -162,7 +142,6 @@ Result<GraphDatabase> ReadDatabase(std::istream* in) {
   std::string magic;
   if (!((*in) >> magic)) return Status::IoError("bad database magic");
   if (magic == kMagicV2) return ReadDatabaseV2Body(in);
-  if (magic == kMagicV1) return ReadDatabaseV1Body(in);
   return Status::IoError("bad database magic");
 }
 

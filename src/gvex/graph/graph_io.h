@@ -1,10 +1,10 @@
 // Plain-text serialization of graphs and graph databases, so generated
 // datasets and explanation views can be saved, inspected, and reloaded.
 //
-// Writers emit the v2 format: a magic/count header, one CRC32-framed
-// section per graph record, and an end marker so truncation is detected.
-// Readers accept both v2 and the legacy v1 stream. Save* goes through
-// write-to-temp + rename (atomic) with retry on transient IO errors.
+// The format is v2: a magic/count header, one CRC32-framed section per
+// graph record, and an end marker so truncation is detected (DESIGN.md
+// §6). Save* goes through write-to-temp + rename (atomic) with retry on
+// transient IO errors.
 #pragma once
 
 #include <iosfwd>
@@ -19,10 +19,7 @@ namespace gvex {
 Status WriteDatabase(const GraphDatabase& db, std::ostream* out);
 Status SaveDatabase(const GraphDatabase& db, const std::string& path);
 
-/// Write the legacy v1 stream (migration tooling and compat tests).
-Status WriteDatabaseV1(const GraphDatabase& db, std::ostream* out);
-
-/// Read a database back (v2 or v1, sniffed from the magic).
+/// Read a database back; any magic but gvexdb-v2 is rejected.
 Result<GraphDatabase> ReadDatabase(std::istream* in);
 Result<GraphDatabase> LoadDatabase(const std::string& path);
 

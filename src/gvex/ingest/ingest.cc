@@ -15,14 +15,6 @@ namespace ingest {
 
 namespace {
 
-serve::Response MakeError(uint64_t id, const Status& status) {
-  serve::Response resp;
-  resp.id = id;
-  resp.code = status.code();
-  resp.message = status.message();
-  return resp;
-}
-
 uint64_t DriftBasisPoints(double drift) {
   return static_cast<uint64_t>(std::lround(std::max(0.0, drift) * 10000.0));
 }
@@ -89,7 +81,7 @@ void IngestManager::Stop() {
   started_ = false;
   // Fail whatever the worker left behind rather than hanging clients.
   for (auto& item : queue_) {
-    item->promise.set_value(MakeError(
+    item->promise.set_value(serve::ErrorResponse(
         item->req.id, Status::FailedPrecondition("ingest stopped")));
   }
   queue_.clear();
@@ -162,14 +154,14 @@ std::future<serve::Response> IngestManager::Submit(serve::Request req) {
     } else if (item->req.text == "status") {
       item->kind = Item::Kind::kStatus;
     } else {
-      item->promise.set_value(MakeError(
+      item->promise.set_value(serve::ErrorResponse(
           item->req.id,
           Status::InvalidArgument(
               "ingest needs a graph, or text 'publish'/'status'")));
       return future;
     }
   } else if (item->req.label < 0) {
-    item->promise.set_value(MakeError(
+    item->promise.set_value(serve::ErrorResponse(
         item->req.id, Status::InvalidArgument("ingest requires a label")));
     return future;
   }
@@ -181,7 +173,7 @@ std::future<serve::Response> IngestManager::Submit(serve::Request req) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!started_ || stopping_) {
-      item->promise.set_value(MakeError(
+      item->promise.set_value(serve::ErrorResponse(
           item->req.id, Status::FailedPrecondition("ingest not running")));
       return future;
     }
@@ -190,7 +182,7 @@ std::future<serve::Response> IngestManager::Submit(serve::Request req) {
     if (item->kind == Item::Kind::kGraph &&
         queue_.size() >= options_.max_pending) {
       GVEX_COUNTER_INC("ingest.shed");
-      item->promise.set_value(MakeError(
+      item->promise.set_value(serve::ErrorResponse(
           item->req.id,
           Status::Overloaded("ingest queue full (" +
                              std::to_string(options_.max_pending) + ")")));
@@ -216,7 +208,7 @@ void IngestManager::WorkerLoop() {
     if (item->has_deadline &&
         std::chrono::steady_clock::now() >= item->deadline) {
       GVEX_COUNTER_INC("ingest.deadline_miss");
-      item->promise.set_value(MakeError(
+      item->promise.set_value(serve::ErrorResponse(
           item->req.id, Status::Timeout("ingest deadline expired in queue")));
       continue;
     }
@@ -288,7 +280,7 @@ serve::Response IngestManager::ProcessGraph(const serve::Request& req) {
       GVEX_COUNTER_INC("ingest.errors");
       std::lock_guard<std::mutex> lock(mu_);
       ++errors_;
-      return MakeError(req.id, st);
+      return serve::ErrorResponse(req.id, st);
     }
   }
   // The graph is durable: consume the sequence number and the dedup key
@@ -356,7 +348,7 @@ serve::Response IngestManager::ProcessGraph(const serve::Request& req) {
     GVEX_COUNTER_INC("ingest.errors");
     std::lock_guard<std::mutex> lock(mu_);
     ++errors_;
-    return MakeError(req.id, st);
+    return serve::ErrorResponse(req.id, st);
   }
   resp.support = seq;
   std::ostringstream text;
@@ -448,7 +440,7 @@ serve::Response IngestManager::ProcessPublish(const serve::Request& req) {
   Result<uint64_t> gen = Publish();
   if (!gen.ok()) {
     GVEX_COUNTER_INC("ingest.publish_failures");
-    return MakeError(req.id, gen.status());
+    return serve::ErrorResponse(req.id, gen.status());
   }
   resp.support = *gen;
   resp.text = "published generation=" + std::to_string(*gen) +

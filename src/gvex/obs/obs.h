@@ -260,32 +260,36 @@ Status WriteChromeTrace(const std::string& path);
   ::gvex::obs::SpanTimer GVEX_OBS_CONCAT(_gvex_span_, __LINE__)(name)
 
 /// Add `delta` to the named counter. The registry lookup happens once per
-/// call site (cached static reference).
-#define GVEX_COUNTER_ADD(name, delta)                       \
-  do {                                                      \
-    static ::gvex::obs::Counter& _gvex_cnt =                \
-        ::gvex::obs::Registry::Global().GetCounter(name);   \
-    if (::gvex::obs::Enabled())                             \
-      _gvex_cnt.Add(static_cast<uint64_t>(delta));          \
+/// call site (cached static reference), so `name` must be a string
+/// literal: pasting it between two "" rejects anything else (a variable,
+/// or a literal plus a run-time suffix) at compile time. Names built at
+/// run time go through Registry::GetCounter directly.
+#define GVEX_COUNTER_ADD(name, delta)                           \
+  do {                                                          \
+    static ::gvex::obs::Counter& _gvex_cnt =                    \
+        ::gvex::obs::Registry::Global().GetCounter("" name ""); \
+    if (::gvex::obs::Enabled())                                 \
+      _gvex_cnt.Add(static_cast<uint64_t>(delta));              \
   } while (0)
 
 #define GVEX_COUNTER_INC(name) GVEX_COUNTER_ADD(name, 1)
 
-/// Record `value` into the named histogram.
-#define GVEX_HISTOGRAM_RECORD(name, value)                  \
-  do {                                                      \
-    static ::gvex::obs::Histogram& _gvex_hist =             \
-        ::gvex::obs::Registry::Global().GetHistogram(name); \
-    if (::gvex::obs::Enabled())                             \
-      _gvex_hist.Record(static_cast<uint64_t>(value));      \
+/// Record `value` into the named histogram (string literal, as above).
+#define GVEX_HISTOGRAM_RECORD(name, value)                        \
+  do {                                                            \
+    static ::gvex::obs::Histogram& _gvex_hist =                   \
+        ::gvex::obs::Registry::Global().GetHistogram("" name ""); \
+    if (::gvex::obs::Enabled())                                   \
+      _gvex_hist.Record(static_cast<uint64_t>(value));            \
   } while (0)
 
-/// Record the enclosing scope's duration (us) into the named histogram.
-/// Expands to two declarations: use inside a braced block.
+/// Record the enclosing scope's duration (us) into the named histogram
+/// (string literal, as above). Expands to two declarations: use inside a
+/// braced block.
 #define GVEX_LATENCY_US(name)                                         \
   static ::gvex::obs::Histogram& GVEX_OBS_CONCAT(_gvex_lat_hist_,     \
                                                  __LINE__) =          \
-      ::gvex::obs::Registry::Global().GetHistogram(name);             \
+      ::gvex::obs::Registry::Global().GetHistogram("" name "");       \
   ::gvex::obs::LatencyTimer GVEX_OBS_CONCAT(_gvex_lat_, __LINE__)(    \
       &GVEX_OBS_CONCAT(_gvex_lat_hist_, __LINE__))
 

@@ -1,5 +1,6 @@
 #include "gvex/serve/protocol.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "gvex/common/checksum.h"
@@ -59,27 +60,30 @@ Status ReadField(std::istream* in, const char* key, T* out) {
 
 }  // namespace
 
-const char* RequestTypeName(RequestType type) {
-  switch (type) {
-    case RequestType::kPing: return "ping";
-    case RequestType::kSupport: return "support";
-    case RequestType::kSubgraphsContaining: return "contains";
-    case RequestType::kFindHits: return "hits";
-    case RequestType::kDiscriminativePatterns: return "discriminative";
-    case RequestType::kClassifyExplain: return "classify";
-    case RequestType::kStats: return "stats";
-    case RequestType::kShutdown: return "shutdown";
-    case RequestType::kInstall: return "install";
-    case RequestType::kGenerations: return "generations";
-    case RequestType::kFetch: return "fetch";
-    case RequestType::kHealth: return "health";
-    case RequestType::kShardInfo: return "shardinfo";
-    case RequestType::kCoverageStats: return "coverage";
-    case RequestType::kTopViews: return "topviews";
-    case RequestType::kIngest: return "ingest";
-    case RequestType::kEvaluate: return "evaluate";
+std::optional<RequestType> RequestTypeFromName(std::string_view name) {
+  for (const RequestTypeInfo& row : kRequestTypes) {
+    if (name == row.name) return row.type;
   }
-  return "unknown";
+  return std::nullopt;
+}
+
+Response ErrorResponse(uint64_t id, const Status& status) {
+  Response resp;
+  resp.id = id;
+  resp.code = status.code();
+  resp.message = status.message();
+  return resp;
+}
+
+void RankTopViews(uint32_t top_k, std::vector<ViewCoverage>* rows) {
+  std::sort(rows->begin(), rows->end(),
+            [](const ViewCoverage& a, const ViewCoverage& b) {
+              if (a.explainability != b.explainability) {
+                return a.explainability > b.explainability;
+              }
+              return a.label < b.label;
+            });
+  if (rows->size() > top_k) rows->resize(top_k);
 }
 
 std::string EncodeRequestBody(const Request& req) {
@@ -114,7 +118,7 @@ Result<Request> DecodeRequestBody(const std::string& body) {
   Request req;
   int type = 0, semantics = 0, has_graph = 0;
   GVEX_RETURN_NOT_OK(ReadField(&in, "type", &type));
-  if (type < 0 || type > static_cast<int>(RequestType::kEvaluate)) {
+  if (type < 0 || static_cast<size_t>(type) >= kNumRequestTypes) {
     return Status::InvalidArgument("unknown request type " +
                                    std::to_string(type));
   }
@@ -225,7 +229,7 @@ Result<Response> DecodeResponseBody(const std::string& body) {
   int code = 0;
   GVEX_RETURN_NOT_OK(ReadField(&in, "id", &resp.id));
   GVEX_RETURN_NOT_OK(ReadField(&in, "code", &code));
-  if (code < 0 || code > static_cast<int>(StatusCode::kEvaluationFailed)) {
+  if (code < 0 || code > static_cast<int>(kLastStatusCode)) {
     return Status::InvalidArgument("unknown status code " +
                                    std::to_string(code));
   }

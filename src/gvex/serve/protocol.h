@@ -18,8 +18,12 @@
 // Full field reference: docs/SERVING.md.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gvex/common/result.h"
@@ -69,7 +73,93 @@ enum class RequestType : uint8_t {
   kEvaluate = 16,
 };
 
-const char* RequestTypeName(RequestType type);
+/// How ExplanationServer::Submit admits a request type.
+enum class Admission : uint8_t {
+  kQueued,  ///< shared admission queue: quotas, deadlines, batching
+  kInline,  ///< answered on the caller's thread, never queued
+  kIngest,  ///< handed to the ingest handler, never queued
+};
+
+/// How the ShardRouter answers a request type.
+enum class RouterPlan : uint8_t {
+  kLocal,           ///< answered by the router itself
+  kRejected,        ///< kUnimplemented: the frontend hosts no views
+  kHome,            ///< sent to the route's home shard (replicated state)
+  kPointOrScatter,  ///< owning shard when graph_index >= 0, else scattered
+  kScatter,         ///< scattered to every shard and merged
+  kUnsupported,     ///< kUnimplemented after route validation
+};
+
+/// \brief The facts about one request type that admission, batching,
+/// routing, metrics and the CLI branch on.
+struct RequestTypeInfo {
+  RequestType type;
+  /// Wire name: the `client --type` word and the `<name>` in the
+  /// `serve.exec_<name>_us` histogram.
+  const char* name;
+  /// Batchable, point-routable pattern query (graph_index restricts it).
+  bool pattern_query;
+  Admission admission;
+  RouterPlan router;
+};
+
+/// One row per RequestType, in enum order. A new type is one enum value,
+/// one row here, and its handlers.
+inline constexpr RequestTypeInfo kRequestTypes[] = {
+    {RequestType::kPing, "ping", false,
+     Admission::kQueued, RouterPlan::kLocal},
+    {RequestType::kSupport, "support", true,
+     Admission::kQueued, RouterPlan::kPointOrScatter},
+    {RequestType::kSubgraphsContaining, "contains", true,
+     Admission::kQueued, RouterPlan::kPointOrScatter},
+    {RequestType::kFindHits, "hits", true,
+     Admission::kQueued, RouterPlan::kPointOrScatter},
+    {RequestType::kDiscriminativePatterns, "discriminative", false,
+     Admission::kQueued, RouterPlan::kScatter},
+    {RequestType::kClassifyExplain, "classify", false,
+     Admission::kQueued, RouterPlan::kHome},
+    {RequestType::kStats, "stats", false,
+     Admission::kQueued, RouterPlan::kLocal},
+    {RequestType::kShutdown, "shutdown", false,
+     Admission::kQueued, RouterPlan::kLocal},
+    {RequestType::kInstall, "install", false,
+     Admission::kQueued, RouterPlan::kRejected},
+    {RequestType::kGenerations, "generations", false,
+     Admission::kQueued, RouterPlan::kScatter},
+    {RequestType::kFetch, "fetch", false,
+     Admission::kQueued, RouterPlan::kRejected},
+    {RequestType::kHealth, "health", false,
+     Admission::kInline, RouterPlan::kScatter},
+    {RequestType::kShardInfo, "shardinfo", false,
+     Admission::kQueued, RouterPlan::kScatter},
+    {RequestType::kCoverageStats, "coverage", false,
+     Admission::kQueued, RouterPlan::kScatter},
+    {RequestType::kTopViews, "topviews", false,
+     Admission::kQueued, RouterPlan::kScatter},
+    {RequestType::kIngest, "ingest", false,
+     Admission::kIngest, RouterPlan::kUnsupported},
+    {RequestType::kEvaluate, "evaluate", false,
+     Admission::kQueued, RouterPlan::kUnsupported},
+};
+
+inline constexpr size_t kNumRequestTypes = std::size(kRequestTypes);
+
+static_assert(
+    [] {
+      for (size_t i = 0; i < kNumRequestTypes; ++i) {
+        if (static_cast<size_t>(kRequestTypes[i].type) != i) return false;
+      }
+      return true;
+    }(),
+    "kRequestTypes rows must follow enum order");
+
+/// The table row of `type` (a decoded request's type is always in range).
+constexpr const RequestTypeInfo& InfoOf(RequestType type) {
+  return kRequestTypes[static_cast<size_t>(type)];
+}
+
+/// The type whose wire name is `name`; nullopt for an unknown name.
+std::optional<RequestType> RequestTypeFromName(std::string_view name);
 
 /// \brief One explanation query.
 ///
@@ -205,6 +295,14 @@ struct Response {
     return ok() ? Status::OK() : Status(code, message);
   }
 };
+
+/// The failed answer to request `id`: only `id`, `code` and `message` set.
+Response ErrorResponse(uint64_t id, const Status& status);
+
+/// The kTopViews order, shared by a server and the ShardRouter merge:
+/// explainability descending, ties by label ascending, then the first
+/// `top_k` rows.
+void RankTopViews(uint32_t top_k, std::vector<ViewCoverage>* rows);
 
 // ---- body codecs ------------------------------------------------------------
 

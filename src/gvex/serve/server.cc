@@ -1,6 +1,7 @@
 #include "gvex/serve/server.h"
 
 #include <algorithm>
+#include <array>
 #include <condition_variable>
 #include <cstdlib>
 #include <utility>
@@ -19,14 +20,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-Response ErrorResponse(const Request& req, const Status& st) {
-  Response resp;
-  resp.id = req.id;
-  resp.code = st.code();
-  resp.message = st.message();
-  return resp;
-}
-
 const std::string& RouteOf(const Request& req) {
   static const std::string kDefault = cluster::kDefaultRoute;
   return req.route.empty() ? kDefault : req.route;
@@ -43,12 +36,6 @@ RouteInfo ToRouteInfo(const RouteStatus& status) {
   return info;
 }
 
-bool IsPatternQuery(RequestType type) {
-  return type == RequestType::kSupport ||
-         type == RequestType::kSubgraphsContaining ||
-         type == RequestType::kFindHits;
-}
-
 bool HasPair(const Graph& pattern, const Graph& target,
              const MatchOptions& options, bool use_cache) {
   if (use_cache) {
@@ -57,31 +44,17 @@ bool HasPair(const Graph& pattern, const Graph& target,
   return Vf2Matcher::HasMatch(pattern, target, options);
 }
 
-/// Per-endpoint latency histograms, resolved once (registry references
+/// Per-type execution histograms, resolved once (registry references
 /// are stable for the process lifetime).
-obs::Histogram& EndpointHistogram(RequestType type) {
-  static obs::Histogram* hists[] = {
-      &obs::Registry::Global().GetHistogram("serve.exec_ping_us"),
-      &obs::Registry::Global().GetHistogram("serve.exec_support_us"),
-      &obs::Registry::Global().GetHistogram("serve.exec_contains_us"),
-      &obs::Registry::Global().GetHistogram("serve.exec_hits_us"),
-      &obs::Registry::Global().GetHistogram("serve.exec_discriminative_us"),
-      &obs::Registry::Global().GetHistogram("serve.exec_classify_us"),
-      &obs::Registry::Global().GetHistogram("serve.exec_stats_us"),
-      &obs::Registry::Global().GetHistogram("serve.exec_shutdown_us"),
-      &obs::Registry::Global().GetHistogram("serve.exec_install_us"),
-      &obs::Registry::Global().GetHistogram("serve.exec_generations_us"),
-      &obs::Registry::Global().GetHistogram("serve.exec_fetch_us"),
-      &obs::Registry::Global().GetHistogram("serve.exec_health_us"),
-      &obs::Registry::Global().GetHistogram("serve.exec_shardinfo_us"),
-      &obs::Registry::Global().GetHistogram("serve.exec_coverage_us"),
-      &obs::Registry::Global().GetHistogram("serve.exec_topviews_us"),
-      &obs::Registry::Global().GetHistogram("serve.exec_ingest_us"),
-      &obs::Registry::Global().GetHistogram("serve.exec_evaluate_us"),
-  };
-  static_assert(sizeof(hists) / sizeof(hists[0]) ==
-                    static_cast<size_t>(RequestType::kEvaluate) + 1,
-                "one histogram per request type");
+obs::Histogram& ExecHistogram(RequestType type) {
+  static const std::array<obs::Histogram*, kNumRequestTypes> hists = [] {
+    std::array<obs::Histogram*, kNumRequestTypes> out{};
+    for (const RequestTypeInfo& row : kRequestTypes) {
+      out[static_cast<size_t>(row.type)] =
+          &obs::Registry::Global().GetHistogram(ExecHistogramName(row.type));
+    }
+    return out;
+  }();
   return *hists[static_cast<size_t>(type)];
 }
 
@@ -103,6 +76,10 @@ ViewCoverage CoverageOf(const ExplanationView& view, bool with_graph_ids) {
 }
 
 }  // namespace
+
+std::string ExecHistogramName(RequestType type) {
+  return std::string("serve.exec_") + InfoOf(type).name + "_us";
+}
 
 Result<std::pair<std::string, RouteQuota>> ParseRouteQuotaSpec(
     const std::string& spec) {
@@ -248,47 +225,39 @@ std::future<Response> ExplanationServer::Submit(Request req) {
     Status injected = failpoint::Check("serve.admit");
     if (!injected.ok()) {
       if (injected.IsOverloaded()) GVEX_COUNTER_INC("serve.shed");
-      item->promise.set_value(ErrorResponse(item->req, injected));
+      item->promise.set_value(ErrorResponse(item->req.id, injected));
       return future;
     }
   }
 
-  // Health probes are answered inline, never queued: the publisher's
-  // health gate (and any operator poking at a sick process) must be able
-  // to observe saturation while the admission queue is shedding
-  // everything else.
-  if (item->req.type == RequestType::kHealth) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!started_ || stopping_) {
-        item->promise.set_value(ErrorResponse(
-            item->req, Status::FailedPrecondition("server is not running")));
-        return future;
-      }
-    }
-    item->promise.set_value(Execute(item->req, nullptr, item->cancel.get()));
-    return future;
-  }
-
-  // Ingest never touches the shared query queue: the process owner's
-  // handler (gvex/ingest) runs its own admission-bounded queue behind a
-  // dedicated worker, so a burst of writes cannot starve readers of
-  // workers and a full read queue cannot shed writes.
-  if (item->req.type == RequestType::kIngest) {
+  const Admission admission = InfoOf(item->req.type).admission;
+  if (admission != Admission::kQueued) {
     IngestHandler handler;
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (!started_ || stopping_) {
         item->promise.set_value(ErrorResponse(
-            item->req, Status::FailedPrecondition("server is not running")));
+            item->req.id, Status::FailedPrecondition("server is not running")));
         return future;
       }
-      handler = ingest_handler_;
+      if (admission == Admission::kIngest) handler = ingest_handler_;
     }
+    // Inline types (health probes) are never queued: the publisher's
+    // health gate (and any operator poking at a sick process) must be
+    // able to observe saturation while the admission queue is shedding
+    // everything else.
+    if (admission == Admission::kInline) {
+      item->promise.set_value(Execute(item->req, nullptr, item->cancel.get()));
+      return future;
+    }
+    // Ingest never touches the shared query queue: the process owner's
+    // handler (gvex/ingest) runs its own admission-bounded queue behind a
+    // dedicated worker, so a burst of writes cannot starve readers of
+    // workers and a full read queue cannot shed writes.
     if (handler == nullptr) {
       item->promise.set_value(ErrorResponse(
-          item->req, Status::FailedPrecondition(
-                         "live ingest is not enabled (serve --ingest)")));
+          item->req.id, Status::FailedPrecondition(
+                            "live ingest is not enabled (serve --ingest)")));
       return future;
     }
     return handler(std::move(item->req));
@@ -308,13 +277,13 @@ std::future<Response> ExplanationServer::Submit(Request req) {
     std::lock_guard<std::mutex> lock(mu_);
     if (!started_ || stopping_) {
       item->promise.set_value(ErrorResponse(
-          item->req, Status::FailedPrecondition("server is not running")));
+          item->req.id, Status::FailedPrecondition("server is not running")));
       return future;
     }
     if (queue_.size() >= options_.max_queue) {
       GVEX_COUNTER_INC("serve.shed");
       item->promise.set_value(ErrorResponse(
-          item->req,
+          item->req.id,
           Status::Overloaded("request queue full (" +
                              std::to_string(options_.max_queue) +
                              " deep); retry later")));
@@ -328,9 +297,12 @@ std::future<Response> ExplanationServer::Submit(Request req) {
         load.queued >= quota->second.max_depth) {
       ++load.quota_shed;
       GVEX_COUNTER_INC("serve.quota_shed");
-      GVEX_COUNTER_INC("serve.quota_shed." + route);
+      // Per-route name: resolved per shed (a rare path), never cached.
+      if (obs::Enabled()) {
+        obs::Registry::Global().GetCounter("serve.quota_shed." + route).Add(1);
+      }
       item->promise.set_value(ErrorResponse(
-          item->req,
+          item->req.id,
           Status::QuotaExceeded(
               "route '" + route + "' queue budget full (" +
               std::to_string(quota->second.max_depth) + " deep); retry later")));
@@ -407,7 +379,9 @@ ExplanationServer::TakeBatchLocked() {
   batch.push_back(std::move(*head_it));
   queue_.erase(head_it);
   const Request& head = batch.front()->req;
-  if (!IsPatternQuery(head.type) || options_.batch_max <= 1) return batch;
+  if (!InfoOf(head.type).pattern_query || options_.batch_max <= 1) {
+    return batch;
+  }
   // Greedily claim queued pattern queries against the same view (same
   // route, same label, same match semantics): one snapshot pin + view
   // resolution serves the whole batch, and consecutive matches against
@@ -415,7 +389,7 @@ ExplanationServer::TakeBatchLocked() {
   for (auto it = queue_.begin();
        it != queue_.end() && batch.size() < options_.batch_max;) {
     const Request& r = (*it)->req;
-    if (IsPatternQuery(r.type) && RouteOf(r) == RouteOf(head) &&
+    if (InfoOf(r.type).pattern_query && RouteOf(r) == RouteOf(head) &&
         r.label == head.label && r.semantics == head.semantics) {
       --route_load_[RouteOf(r)].queued;
       batch.push_back(std::move(*it));
@@ -477,20 +451,20 @@ void ExplanationServer::Process(Item* item, const LoadedViewSet* snap) {
     GVEX_COUNTER_INC("serve.deadline_miss");
     GVEX_COUNTER_INC("serve.responses_error");
     item->promise.set_value(ErrorResponse(
-        item->req, Status::Timeout("deadline expired while queued")));
+        item->req.id, Status::Timeout("deadline expired while queued")));
     return;
   }
   Response resp;
   {
-    obs::LatencyTimer timer(&EndpointHistogram(item->req.type));
+    obs::LatencyTimer timer(&ExecHistogram(item->req.type));
     resp = Execute(item->req, snap, item->cancel.get());
   }
   if (resp.ok() && item->cancel->cancelled()) {
     GVEX_COUNTER_INC("serve.deadline_miss");
     Status cause = item->cancel->cause();
-    resp = ErrorResponse(item->req, cause.ok()
-                                        ? Status::Timeout("request cancelled")
-                                        : cause);
+    resp = ErrorResponse(item->req.id,
+                         cause.ok() ? Status::Timeout("request cancelled")
+                                    : cause);
   }
   if (resp.ok()) {
     GVEX_COUNTER_INC("serve.responses_ok");
@@ -509,7 +483,7 @@ Response ExplanationServer::Execute(const Request& req,
   // Injectable execution failure + service-time model (see header).
   if (failpoint::AnyArmed()) {
     Status injected = failpoint::Check("serve.exec");
-    if (!injected.ok()) return ErrorResponse(req, injected);
+    if (!injected.ok()) return ErrorResponse(req.id, injected);
   }
   GVEX_FAILPOINT_NOTIFY("serve.exec_delay");
 
@@ -538,8 +512,8 @@ Response ExplanationServer::Execute(const Request& req,
       // Routed at admission (Submit) to the dedicated ingest worker; a
       // request can only land here through a path with no handler.
       return ErrorResponse(
-          req, Status::FailedPrecondition(
-                   "live ingest is not enabled (serve --ingest)"));
+          req.id, Status::FailedPrecondition(
+                      "live ingest is not enabled (serve --ingest)"));
     case RequestType::kEvaluate: {
       // Unlike ingest, evaluations ride the shared queue so admission,
       // quotas, deadlines, and cancellation apply unchanged; only the
@@ -551,8 +525,8 @@ Response ExplanationServer::Execute(const Request& req,
       }
       if (handler == nullptr) {
         return ErrorResponse(
-            req, Status::FailedPrecondition(
-                     "explainer zoo is not enabled (serve --zoo)"));
+            req.id, Status::FailedPrecondition(
+                        "explainer zoo is not enabled (serve --zoo)"));
       }
       resp = handler(req, cancel);
       resp.id = req.id;
@@ -564,31 +538,33 @@ Response ExplanationServer::Execute(const Request& req,
 
   if (!req.route.empty() && !cluster::IsValidRouteName(req.route)) {
     return ErrorResponse(
-        req, Status::InvalidArgument("invalid route name: '" + req.route +
-                                     "' (want 1..64 chars of [A-Za-z0-9_.-])"));
+        req.id,
+        Status::InvalidArgument("invalid route name: '" + req.route +
+                                "' (want 1..64 chars of [A-Za-z0-9_.-])"));
   }
   if (registry_ == nullptr) {
-    return ErrorResponse(req, Status::FailedPrecondition("no view registry"));
+    return ErrorResponse(req.id,
+                         Status::FailedPrecondition("no view registry"));
   }
 
   if (req.type == RequestType::kInstall) {
     Result<cluster::ViewBundle> decoded = cluster::DecodeBundle(req.bundle);
     if (!decoded.ok()) {
       GVEX_COUNTER_INC("cluster.install_failures");
-      return ErrorResponse(req, decoded.status());
+      return ErrorResponse(req.id, decoded.status());
     }
     cluster::ViewBundle bundle = *std::move(decoded);
     if (!req.route.empty() && req.route != bundle.route) {
       GVEX_COUNTER_INC("cluster.install_failures");
       return ErrorResponse(
-          req, Status::InvalidArgument("request route '" + req.route +
-                                       "' does not match bundle route '" +
-                                       bundle.route + "'"));
+          req.id, Status::InvalidArgument("request route '" + req.route +
+                                          "' does not match bundle route '" +
+                                          bundle.route + "'"));
     }
     Status installed = registry_->InstallBundle(bundle);
     if (!installed.ok()) {
       GVEX_COUNTER_INC("cluster.install_failures");
-      return ErrorResponse(req, installed);
+      return ErrorResponse(req.id, installed);
     }
     const size_t warm = registry_->WarmMatchCache(bundle.route);
     resp.text = "installed route=" + bundle.route + " generation=" +
@@ -613,12 +589,12 @@ Response ExplanationServer::Execute(const Request& req,
     Result<cluster::ViewBundle> bundle = registry_->MakeBundle(route);
     if (!bundle.ok()) {
       GVEX_COUNTER_INC("cluster.fetch_failures");
-      return ErrorResponse(req, bundle.status());
+      return ErrorResponse(req.id, bundle.status());
     }
     Result<std::string> encoded = cluster::EncodeBundle(*bundle);
     if (!encoded.ok()) {
       GVEX_COUNTER_INC("cluster.fetch_failures");
-      return ErrorResponse(req, encoded.status());
+      return ErrorResponse(req.id, encoded.status());
     }
     resp.bundle = *std::move(encoded);
     GVEX_COUNTER_INC("cluster.fetches");
@@ -629,7 +605,7 @@ Response ExplanationServer::Execute(const Request& req,
   }
 
   if (snap == nullptr) {
-    return ErrorResponse(req,
+    return ErrorResponse(req.id,
                          Status::FailedPrecondition("no views loaded"));
   }
 
@@ -644,14 +620,7 @@ Response ExplanationServer::Execute(const Request& req,
       resp.coverage.push_back(CoverageOf(view, with_ids));
     }
     if (req.type == RequestType::kTopViews) {
-      std::sort(resp.coverage.begin(), resp.coverage.end(),
-                [](const ViewCoverage& a, const ViewCoverage& b) {
-                  if (a.explainability != b.explainability) {
-                    return a.explainability > b.explainability;
-                  }
-                  return a.label < b.label;
-                });
-      if (resp.coverage.size() > req.top_k) resp.coverage.resize(req.top_k);
+      RankTopViews(req.top_k, &resp.coverage);
     } else {
       std::sort(resp.coverage.begin(), resp.coverage.end(),
                 [](const ViewCoverage& a, const ViewCoverage& b) {
@@ -667,19 +636,20 @@ Response ExplanationServer::Execute(const Request& req,
   if (req.type == RequestType::kClassifyExplain) {
     if (snap->model == nullptr) {
       return ErrorResponse(
-          req, Status::FailedPrecondition(
-                   "classify-and-explain needs a model (serve --model)"));
+          req.id, Status::FailedPrecondition(
+                      "classify-and-explain needs a model (serve --model)"));
     }
     if (!req.has_graph || req.graph.empty()) {
       return ErrorResponse(
-          req, Status::InvalidArgument("classify needs a non-empty graph"));
+          req.id, Status::InvalidArgument("classify needs a non-empty graph"));
     }
     if (!req.graph.has_features() ||
         req.graph.feature_dim() != snap->model->config().input_dim) {
       return ErrorResponse(
-          req, Status::InvalidArgument(
-                   "graph features missing or wrong dimension (model wants " +
-                   std::to_string(snap->model->config().input_dim) + ")"));
+          req.id,
+          Status::InvalidArgument(
+              "graph features missing or wrong dimension (model wants " +
+              std::to_string(snap->model->config().input_dim) + ")"));
     }
     resp.predicted = snap->model->Predict(req.graph);
     resp.probabilities = snap->model->PredictProba(req.graph);
@@ -694,21 +664,22 @@ Response ExplanationServer::Execute(const Request& req,
       }
     }
     if (cancel != nullptr && cancel->cancelled()) {
-      return ErrorResponse(req, Status::Timeout("deadline expired mid-query"));
+      return ErrorResponse(req.id,
+                           Status::Timeout("deadline expired mid-query"));
     }
     return resp;
   }
 
   const ExplanationView* view = snap->ForLabel(req.label);
   if (view == nullptr) {
-    return ErrorResponse(req, Status::NotFound("no view for label " +
-                                               std::to_string(req.label)));
+    return ErrorResponse(req.id, Status::NotFound("no view for label " +
+                                                  std::to_string(req.label)));
   }
 
   if (req.type == RequestType::kDiscriminativePatterns) {
     const ExplanationView* against = snap->ForLabel(req.against);
     if (against == nullptr) {
-      return ErrorResponse(req,
+      return ErrorResponse(req.id,
                            Status::NotFound("no view for against-label " +
                                             std::to_string(req.against)));
     }
@@ -723,7 +694,8 @@ Response ExplanationServer::Execute(const Request& req,
   } else {
     if (!req.has_graph || req.graph.empty()) {
       return ErrorResponse(
-          req, Status::InvalidArgument("pattern query needs a pattern graph"));
+          req.id,
+          Status::InvalidArgument("pattern query needs a pattern graph"));
     }
     // Point restriction: scan only the explanation subgraph of one
     // corpus graph. `scan` stays the whole view otherwise; `base` maps
@@ -740,9 +712,9 @@ Response ExplanationServer::Execute(const Request& req,
       }
       if (pos == view->subgraphs.size()) {
         return ErrorResponse(
-            req, Status::NotFound("graph " + std::to_string(want) +
-                                  " not covered by view for label " +
-                                  std::to_string(req.label)));
+            req.id, Status::NotFound("graph " + std::to_string(want) +
+                                     " not covered by view for label " +
+                                     std::to_string(req.label)));
       }
       point.label = view->label;
       point.subgraphs.push_back(view->subgraphs[pos]);
@@ -772,11 +744,12 @@ Response ExplanationServer::Execute(const Request& req,
       }
       default:
         return ErrorResponse(
-            req, Status::Unimplemented("unhandled request type"));
+            req.id, Status::Unimplemented("unhandled request type"));
     }
   }
   if (cancel != nullptr && cancel->cancelled()) {
-    return ErrorResponse(req, Status::Timeout("deadline expired mid-query"));
+    return ErrorResponse(req.id,
+                         Status::Timeout("deadline expired mid-query"));
   }
   return resp;
 }

@@ -77,6 +77,10 @@ struct RouteQuota {
 Result<std::pair<std::string, RouteQuota>> ParseRouteQuotaSpec(
     const std::string& spec);
 
+/// "serve.exec_<name>_us": the execution-latency histogram of `type`,
+/// keyed by its wire name (stats consumers and docs/SERVING.md read it).
+std::string ExecHistogramName(RequestType type);
+
 struct ServerOptions {
   size_t num_workers = 4;
   /// Admission bound: requests beyond this queue depth are shed with

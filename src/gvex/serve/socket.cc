@@ -328,16 +328,11 @@ void SocketServer::ServeConnection(int fd) {
   while (!stopping_.load()) {
     const Status read = RecvFrame(fd, &body, /*client_side=*/false);
     if (!read.ok()) break;  // peer closed, corrupt frame, or shutdown
-    Response resp;
+    // Frame boundaries are intact, so a malformed body is answered in
+    // place and the connection stays usable.
     Result<Request> decoded = DecodeRequestBody(body);
-    if (decoded.ok()) {
-      resp = handler_(*decoded);
-    } else {
-      // Frame boundaries are intact, so a malformed body is answered in
-      // place and the connection stays usable.
-      resp.code = decoded.status().code();
-      resp.message = decoded.status().message();
-    }
+    const Response resp = decoded.ok() ? handler_(*decoded)
+                                       : ErrorResponse(0, decoded.status());
     const bool is_shutdown =
         decoded.ok() && decoded->type == RequestType::kShutdown;
     if (!SendFrame(fd, EncodeResponseBody(resp), /*client_side=*/false).ok())

@@ -9,14 +9,6 @@ namespace gvex {
 namespace zoo {
 namespace {
 
-serve::Response ErrorResponse(const serve::Request& req, const Status& st) {
-  serve::Response resp;
-  resp.id = req.id;
-  resp.code = st.code();
-  resp.message = st.message();
-  return resp;
-}
-
 // Per-route score histograms want dynamic names, which the GVEX_*
 // macros' cached-static lookup cannot provide.
 void RecordScoreHistograms(const Scorecard& card) {
@@ -82,10 +74,10 @@ serve::Response ZooManager::Handle(const serve::Request& req,
   // Form 1: install a gvexzoo-v1 artifact (publish --zoo's wire path).
   if (IsZooArtifact(req.text)) {
     auto configs = ParseZooArtifact(req.text);
-    if (!configs.ok()) return ErrorResponse(req, configs.status());
+    if (!configs.ok()) return serve::ErrorResponse(req.id, configs.status());
     const size_t count = configs->size();
     Status installed = Configure(std::move(*configs));
-    if (!installed.ok()) return ErrorResponse(req, installed);
+    if (!installed.ok()) return serve::ErrorResponse(req.id, installed);
     GVEX_COUNTER_INC("zoo.installs");
     serve::Response resp;
     resp.id = req.id;
@@ -112,12 +104,12 @@ serve::Response ZooManager::Handle(const serve::Request& req,
                                             : req.route);
   if (!config.ok()) {
     GVEX_COUNTER_INC("zoo.eval_failures");
-    return ErrorResponse(req, config.status());
+    return serve::ErrorResponse(req.id, config.status());
   }
   auto spec = ParseEvalSpec(req.text);
   if (!spec.ok()) {
     GVEX_COUNTER_INC("zoo.eval_failures");
-    return ErrorResponse(req, spec.status());
+    return serve::ErrorResponse(req.id, spec.status());
   }
   // Prefer the zoo route's own served model; fall back to the default
   // route's so many explainer routes can A/B one published model.
@@ -129,16 +121,16 @@ serve::Response ZooManager::Handle(const serve::Request& req,
   }
   if (snapshot == nullptr || snapshot->model == nullptr) {
     GVEX_COUNTER_INC("zoo.eval_failures");
-    return ErrorResponse(
-        req, Status::FailedPrecondition(
-                 "zoo: route '" + config->route +
-                 "' has no served model (publish one first)"));
+    return serve::ErrorResponse(
+        req.id, Status::FailedPrecondition(
+                    "zoo: route '" + config->route +
+                    "' has no served model (publish one first)"));
   }
   std::vector<GraphScore> rows;
   auto card = EvaluateRoute(*config, *snapshot->model, *spec, cancel, &rows);
   if (!card.ok()) {
     GVEX_COUNTER_INC("zoo.eval_failures");
-    return ErrorResponse(req, card.status());
+    return serve::ErrorResponse(req.id, card.status());
   }
   GVEX_COUNTER_INC("zoo.evaluations");
   GVEX_COUNTER_ADD("zoo.graphs_scored", card->graphs);

@@ -2,7 +2,7 @@
 // truncation point and every single-bit flip of a serialized database /
 // view set / model must either be detected (error Status, never a crash)
 // or be provably benign (the bytes re-serialize identically — e.g. a
-// whitespace flip in the outer frame). Also covers v1 compatibility.
+// whitespace flip in the outer frame).
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -190,22 +190,6 @@ TEST(IoCorruptionTest, DatabaseBitFlipsDetected) {
   ExpectBitFlipsDetected(bytes, RoundTripDb);
 }
 
-TEST(IoCorruptionTest, DatabaseV1StillLoads) {
-  GraphDatabase db = SmallDb();
-  std::string v1 =
-      Serialize([&](std::ostream* out) { return WriteDatabaseV1(db, out); });
-  std::istringstream in(v1);
-  auto loaded = ReadDatabase(&in);
-  ASSERT_TRUE(loaded.ok());
-  ASSERT_EQ(loaded->size(), db.size());
-  // The reloaded database serializes to the same v2 bytes as the original.
-  std::string from_v1 = Serialize(
-      [&](std::ostream* out) { return WriteDatabase(*loaded, out); });
-  std::string from_orig =
-      Serialize([&](std::ostream* out) { return WriteDatabase(db, out); });
-  EXPECT_EQ(from_v1, from_orig);
-}
-
 // ---- view sets --------------------------------------------------------------
 
 TEST(IoCorruptionTest, ViewSetV2RoundTrip) {
@@ -231,20 +215,6 @@ TEST(IoCorruptionTest, ViewSetBitFlipsDetected) {
   ExpectBitFlipsDetected(bytes, RoundTripViews);
 }
 
-TEST(IoCorruptionTest, ViewSetV1StillLoads) {
-  ExplanationViewSet set = SmallViews();
-  std::string v1 =
-      Serialize([&](std::ostream* out) { return WriteViewSetV1(set, out); });
-  std::istringstream in(v1);
-  auto loaded = ReadViewSet(&in);
-  ASSERT_TRUE(loaded.ok());
-  std::string from_v1 = Serialize(
-      [&](std::ostream* out) { return WriteViewSet(*loaded, out); });
-  std::string from_orig =
-      Serialize([&](std::ostream* out) { return WriteViewSet(set, out); });
-  EXPECT_EQ(from_v1, from_orig);
-}
-
 // ---- models -----------------------------------------------------------------
 
 TEST(IoCorruptionTest, ModelV2RoundTrip) {
@@ -268,20 +238,6 @@ TEST(IoCorruptionTest, ModelBitFlipsDetected) {
   std::string bytes = Serialize(
       [&](std::ostream* out) { return GcnSerializer::Write(model, out); });
   ExpectBitFlipsDetected(bytes, RoundTripModel);
-}
-
-TEST(IoCorruptionTest, ModelV1StillLoads) {
-  GcnClassifier model = SmallModel();
-  std::string v1 = Serialize(
-      [&](std::ostream* out) { return GcnSerializer::WriteV1(model, out); });
-  std::istringstream in(v1);
-  auto loaded = GcnSerializer::Read(&in);
-  ASSERT_TRUE(loaded.ok());
-  std::string from_v1 = Serialize(
-      [&](std::ostream* out) { return GcnSerializer::Write(*loaded, out); });
-  std::string from_orig = Serialize(
-      [&](std::ostream* out) { return GcnSerializer::Write(model, out); });
-  EXPECT_EQ(from_v1, from_orig);
 }
 
 // ---- cluster bundles (gvexbundle-v1) ----------------------------------------

@@ -134,6 +134,52 @@ TEST(RouteQuotaTest, BurstRouteShedsWithoutTouchingDefaultGoodput) {
   server.Stop();
 }
 
+// Each route's sheds land on its own serve.quota_shed.<route> counter:
+// two routes overflow their budgets in one process, and every per-route
+// counter moves by exactly that route's quota_shed in the loads table.
+TEST(RouteQuotaTest, QuotaShedCountersAreBookedPerRoute) {
+  ViewRegistry registry;
+  ServerOptions options;
+  options.num_workers = 1;
+  options.max_queue = 64;
+  options.batch_max = 1;
+  options.route_quotas["left"] = RouteQuota{/*max_depth=*/1,
+                                            /*worker_share=*/0.0};
+  options.route_quotas["right"] = RouteQuota{/*max_depth=*/1,
+                                             /*worker_share=*/0.0};
+  ExplanationServer server(&registry, options);
+  ASSERT_TRUE(server.Start().ok());
+  const uint64_t left_before = CounterValue("serve.quota_shed.left");
+  const uint64_t right_before = CounterValue("serve.quota_shed.right");
+
+  // One slow worker and a one-deep budget per route: nearly the whole
+  // interleaved burst sheds, on both routes.
+  failpoint::ScopedFailpoint slow("serve.exec_delay", "delay(20)");
+  std::vector<std::future<Response>> burst;
+  for (int i = 0; i < 10; ++i) {
+    burst.push_back(server.Submit(PingOn("left")));
+    burst.push_back(server.Submit(PingOn("right")));
+  }
+  for (auto& f : burst) {
+    const Response resp = f.get();
+    EXPECT_TRUE(resp.ok() || resp.code == StatusCode::kQuotaExceeded)
+        << resp.message;
+  }
+
+  const std::vector<RouteLoad> loads = server.RouteLoads();
+  const RouteLoad* left = LoadOf(loads, "left");
+  const RouteLoad* right = LoadOf(loads, "right");
+  ASSERT_NE(left, nullptr);
+  ASSERT_NE(right, nullptr);
+  EXPECT_GT(left->quota_shed, 0u);
+  EXPECT_GT(right->quota_shed, 0u);
+  EXPECT_EQ(CounterValue("serve.quota_shed.left") - left_before,
+            left->quota_shed);
+  EXPECT_EQ(CounterValue("serve.quota_shed.right") - right_before,
+            right->quota_shed);
+  server.Stop();
+}
+
 // Worker-share enforcement at dispatch: with 2 workers and a 0.5 share,
 // the quota'd route holds at most one worker, so a default-route request
 // submitted BEHIND two long route requests completes while the second

@@ -92,6 +92,32 @@ TEST(ServeProtocolTest, RequestRoundTripsThroughCodec) {
   EXPECT_EQ(decoded->graph.num_edges(), req.graph.num_edges());
   // The codec is canonical: re-encoding reproduces the bytes.
   EXPECT_EQ(EncodeRequestBody(*decoded), body);
+
+  // Every row of the request-type table: its index is its enum value,
+  // its wire name round-trips, a request of its type round-trips, and
+  // its exec histogram keeps the name stats consumers and SERVING.md
+  // read.
+  const std::vector<std::string> wire_names = {
+      "ping", "support", "contains", "hits", "discriminative", "classify",
+      "stats", "shutdown", "install", "generations", "fetch", "health",
+      "shardinfo", "coverage", "topviews", "ingest", "evaluate"};
+  ASSERT_EQ(kNumRequestTypes, wire_names.size());
+  for (size_t i = 0; i < kNumRequestTypes; ++i) {
+    const RequestTypeInfo& row = kRequestTypes[i];
+    EXPECT_EQ(static_cast<size_t>(row.type), i);
+    EXPECT_EQ(row.name, wire_names[i]);
+    EXPECT_EQ(RequestTypeFromName(row.name), row.type);
+    EXPECT_EQ(ExecHistogramName(row.type),
+              "serve.exec_" + wire_names[i] + "_us");
+    Request typed = req;
+    typed.type = row.type;
+    const std::string typed_body = EncodeRequestBody(typed);
+    auto round = DecodeRequestBody(typed_body);
+    ASSERT_TRUE(round.ok()) << row.name << ": " << round.status().ToString();
+    EXPECT_EQ(round->type, row.type);
+    EXPECT_EQ(EncodeRequestBody(*round), typed_body);
+  }
+  EXPECT_FALSE(RequestTypeFromName("unknown").has_value());
 }
 
 TEST(ServeProtocolTest, ResponseRoundTripsThroughCodec) {

@@ -402,6 +402,15 @@ TEST(ShardRouterTest, RouterAnswersAdminVerbsLocally) {
   install.type = RequestType::kInstall;
   const Response inst = f.router->Call(install);
   EXPECT_EQ(inst.code, StatusCode::kUnimplemented);
+
+  // Ingest and evaluate have no fleet-wide meaning: the router answers
+  // them kUnimplemented instead of forwarding to a shard.
+  for (RequestType type : {RequestType::kIngest, RequestType::kEvaluate}) {
+    Request unsupported;
+    unsupported.type = type;
+    EXPECT_EQ(f.router->Call(unsupported).code, StatusCode::kUnimplemented)
+        << InfoOf(type).name;
+  }
 }
 
 TEST(ShardRouterTest, HealthAggregatesAcrossShards) {

@@ -8,7 +8,11 @@
 #      docs/OBSERVABILITY.md).
 #   2. Every StatusCode in status.h maps to an exit-code row in both
 #      README.md and docs/WIRE_PROTOCOL.md (the normative table).
-#   3. Every intra-repo relative markdown link resolves to a file.
+#   3. The request-type table in src/gvex/serve/protocol.h
+#      (kRequestTypes) matches the "Request kinds" table in
+#      docs/WIRE_PROTOCOL.md row for row, and the `client --type` list in
+#      cli.h names exactly its wire names.
+#   4. Every intra-repo relative markdown link resolves to a file.
 #
 # Run from the repo root (ctest sets the working directory); exits
 # non-zero listing every violation, so one run shows all drift.
@@ -52,6 +56,39 @@ while IFS= read -r line; do
     fi
   done
 done < <(grep -E '^ *k[A-Za-z]+ = [0-9]+' src/gvex/common/status.h)
+
+echo "== docs-lint: request types in protocol.h vs WIRE_PROTOCOL.md and cli.h"
+# kRequestTypes holds one row per type in enum order; print "<type> <name>".
+TYPES="$(grep -oE '^ *\{RequestType::k[A-Za-z]+, "[a-z]+"' \
+           src/gvex/serve/protocol.h |
+         sed -E 's/.*"([a-z]+)"/\1/' | awk '{ print NR - 1, $0 }')"
+[[ -n "$TYPES" ]] || complain "no request types parsed from src/gvex/serve/protocol.h"
+WIRE_TYPES="$(awk '/^## Request kinds/ { on = 1; next }
+                   on && /^#/ { on = 0 }
+                   on && /^\| *[0-9]+ *\| *`[a-z]+`/ {
+                     gsub(/[|`]/, " "); print $1, $2 }' docs/WIRE_PROTOCOL.md)"
+if [[ "$WIRE_TYPES" != "$TYPES" ]]; then
+  complain "docs/WIRE_PROTOCOL.md \"Request kinds\" rows differ from" \
+           "kRequestTypes:" \
+           "$(diff <(echo "$TYPES") <(echo "$WIRE_TYPES") | grep '^[<>]' |
+              tr '\n' ' ')"
+fi
+# The `--type a|b|...` list in the cli.h synopsis, which wraps over
+# comment lines holding nothing but names and bars.
+CLI_TYPES="$(awk '!seen && /--type [a-z]/ { sub(/.*--type /, ""); list = $0
+                                            seen = more = 1; next }
+                  more && /^\/\/ +[a-z|]+$/ { sub(/^\/\/ +/, ""); list = list $0
+                                            next }
+                  { more = 0 }
+                  END { n = split(list, w, "|")
+                        for (i = 1; i <= n; i++) if (w[i] != "") print w[i] }' \
+               src/gvex/cli/cli.h | sort)"
+TYPE_NAMES="$(echo "$TYPES" | awk '{ print $2 }' | sort)"
+if [[ "$CLI_TYPES" != "$TYPE_NAMES" ]]; then
+  complain "cli.h client --type list differs from kRequestTypes:" \
+           "$(diff <(echo "$TYPE_NAMES") <(echo "$CLI_TYPES") | grep '^[<>]' |
+              tr '\n' ' ')"
+fi
 
 echo "== docs-lint: relative markdown links resolve"
 ALL_DOCS="$(ls ./*.md docs/*.md 2>/dev/null)"
