@@ -14,6 +14,7 @@
 #include "gvex/baselines/gnn_explainer.h"
 #include "gvex/baselines/gstarx.h"
 #include "gvex/baselines/subgraphx.h"
+#include "gvex/common/cancellation.h"
 #include "gvex/common/stopwatch.h"
 #include "gvex/datasets/datasets.h"
 #include "gvex/explain/approx_gvex.h"
@@ -131,9 +132,10 @@ inline ExplainerRun RunApprox(const Workbench& wb, ClassLabel label,
   run.name = "AG";
   Configuration config = DefaultConfig(u_l);
   ApproxGvex solver(&wb.model, config);
-  Deadline deadline(budget_seconds);
+  CancellationToken budget;
+  if (budget_seconds > 0.0) budget.ExpireAfter(budget_seconds);
   Stopwatch watch;
-  auto view = solver.ExplainLabel(wb.db, wb.assigned, label, &deadline);
+  auto view = solver.ExplainLabel(wb.db, wb.assigned, label, &budget);
   run.seconds = watch.ElapsedSeconds();
   if (!view.ok()) {
     run.timed_out = view.status().IsTimeout();
@@ -153,10 +155,11 @@ inline ExplainerRun RunStream(const Workbench& wb, ClassLabel label,
   run.name = "SG";
   Configuration config = DefaultConfig(u_l);
   StreamGvex solver(&wb.model, config);
-  Deadline deadline(budget_seconds);
+  CancellationToken budget;
+  if (budget_seconds > 0.0) budget.ExpireAfter(budget_seconds);
   Stopwatch watch;
   auto view =
-      solver.ExplainLabel(wb.db, wb.assigned, label, &deadline, order_seed);
+      solver.ExplainLabel(wb.db, wb.assigned, label, &budget, order_seed);
   run.seconds = watch.ElapsedSeconds();
   if (!view.ok()) {
     run.timed_out = view.status().IsTimeout();
@@ -174,10 +177,11 @@ inline ExplainerRun RunBaseline(Explainer* explainer, const Workbench& wb,
                                 double budget_seconds = 0.0) {
   ExplainerRun run;
   run.name = explainer->name();
-  Deadline deadline(budget_seconds);
+  CancellationToken budget;
+  if (budget_seconds > 0.0) budget.ExpireAfter(budget_seconds);
   Stopwatch watch;
   for (size_t gi : GraphDatabase::LabelGroup(wb.assigned, label)) {
-    if (deadline.Expired()) {
+    if (budget.cancelled()) {
       run.timed_out = true;
       break;
     }

@@ -18,6 +18,7 @@
 #include "gvex/cluster/router.h"
 #include "gvex/cluster/shard_map.h"
 
+#include "gvex/common/cancellation.h"
 #include "gvex/common/failpoint.h"
 #include "gvex/common/stopwatch.h"
 #include "gvex/common/string_util.h"
@@ -242,8 +243,9 @@ Status CmdExplain(const Flags& flags) {
   } else if (flags.Has("resume")) {
     return Status::InvalidArgument("--resume requires --checkpoint <path>");
   }
-  double budget = flags.GetDouble("budget", 0.0);
-  Deadline deadline(budget);
+  CancellationToken cancel;
+  const double budget = flags.GetDouble("budget", 0.0);
+  if (budget > 0.0) cancel.ExpireAfter(budget);
   size_t threads = static_cast<size_t>(flags.GetInt("threads", 1));
 
   std::string algorithm = flags.Get("algorithm").value_or("approx");
@@ -251,7 +253,7 @@ Status CmdExplain(const Flags& flags) {
   if (algorithm == "approx") {
     ParallelExplainOptions options;
     options.num_threads = threads == 0 ? 1 : threads;
-    options.deadline = budget > 0.0 ? &deadline : nullptr;
+    options.cancel = &cancel;
     options.checkpoint = checkpoint.get();
     ParallelExplainReport report;
     options.report = &report;
@@ -272,10 +274,8 @@ Status CmdExplain(const Flags& flags) {
     }
     StreamGvex solver(&model, config);
     uint64_t order_seed = static_cast<uint64_t>(flags.GetInt("seed", 0));
-    GVEX_ASSIGN_OR_RETURN(set, solver.Explain(db, assigned, labels,
-                                              budget > 0.0 ? &deadline
-                                                           : nullptr,
-                                              order_seed));
+    GVEX_ASSIGN_OR_RETURN(
+        set, solver.Explain(db, assigned, labels, &cancel, order_seed));
   } else {
     return Status::InvalidArgument("unknown algorithm: " + algorithm);
   }

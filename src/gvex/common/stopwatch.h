@@ -1,4 +1,5 @@
-// Wall-clock timing for benches and time-budget enforcement.
+// Wall-clock timing for benches and latency reports. Time budgets are a
+// deadline on CancellationToken (cancellation.h).
 #pragma once
 
 #include <chrono>
@@ -32,28 +33,6 @@ class Stopwatch {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// \brief Soft deadline: algorithms poll Expired() at safe points and bail
-/// out gracefully (returning partial results) rather than being killed.
-class Deadline {
- public:
-  /// A non-positive budget means "no deadline".
-  explicit Deadline(double budget_seconds = 0.0)
-      : budget_seconds_(budget_seconds) {}
-
-  bool Expired() const {
-    return budget_seconds_ > 0.0 && watch_.ElapsedSeconds() >= budget_seconds_;
-  }
-
-  double RemainingSeconds() const {
-    if (budget_seconds_ <= 0.0) return 1e18;
-    return budget_seconds_ - watch_.ElapsedSeconds();
-  }
-
- private:
-  double budget_seconds_;
-  Stopwatch watch_;
 };
 
 }  // namespace gvex

@@ -215,14 +215,17 @@ Result<ExplanationSubgraph> ApproxGvex::ExplainGraph(const Graph& g,
 
 Result<ExplanationView> ApproxGvex::ExplainLabel(
     const GraphDatabase& db, const std::vector<ClassLabel>& assigned,
-    ClassLabel l, const Deadline* deadline, ExplanationCheckpoint* checkpoint) {
+    ClassLabel l, const CancellationToken* cancel,
+    ExplanationCheckpoint* checkpoint) {
   GVEX_SPAN("approx.explain_label");
   ExplanationView view;
   view.label = l;
   std::vector<size_t> group = GraphDatabase::LabelGroup(assigned, l);
   size_t done = 0;
   for (size_t gi : group) {
-    if (deadline != nullptr && deadline->Expired()) {
+    if (cancel != nullptr && cancel->cancelled()) {
+      Status cause = cancel->cause();
+      if (!cause.IsTimeout()) return cause;
       std::string note = StrFormat(
           "label explanation exceeded time budget (%zu/%zu graphs done", done,
           group.size());
@@ -267,12 +270,12 @@ Result<ExplanationView> ApproxGvex::ExplainLabel(
 
 Result<ExplanationViewSet> ApproxGvex::Explain(
     const GraphDatabase& db, const std::vector<ClassLabel>& assigned,
-    const std::vector<ClassLabel>& labels, const Deadline* deadline,
+    const std::vector<ClassLabel>& labels, const CancellationToken* cancel,
     ExplanationCheckpoint* checkpoint) {
   ExplanationViewSet set;
   for (ClassLabel l : labels) {
     GVEX_ASSIGN_OR_RETURN(ExplanationView view,
-                          ExplainLabel(db, assigned, l, deadline, checkpoint));
+                          ExplainLabel(db, assigned, l, cancel, checkpoint));
     set.views.push_back(std::move(view));
   }
   return set;

@@ -22,8 +22,8 @@
 
 #include <vector>
 
+#include "gvex/common/cancellation.h"
 #include "gvex/common/result.h"
-#include "gvex/common/stopwatch.h"
 #include "gvex/explain/checkpoint.h"
 #include "gvex/explain/config.h"
 #include "gvex/explain/everify.h"
@@ -64,21 +64,19 @@ class ApproxGvex {
   ///
   /// With a `checkpoint`, each completed subgraph is journaled and graphs
   /// already in the journal are restored instead of recomputed, so a
-  /// killed run resumes where it stopped.
-  Result<ExplanationView> ExplainLabel(const GraphDatabase& db,
-                                       const std::vector<ClassLabel>& assigned,
-                                       ClassLabel l,
-                                       const Deadline* deadline = nullptr,
-                                       ExplanationCheckpoint* checkpoint =
-                                           nullptr);
+  /// killed run resumes where it stopped. `cancel` is checked before each
+  /// graph; its deadline passing returns kTimeout.
+  Result<ExplanationView> ExplainLabel(
+      const GraphDatabase& db, const std::vector<ClassLabel>& assigned,
+      ClassLabel l, const CancellationToken* cancel = nullptr,
+      ExplanationCheckpoint* checkpoint = nullptr);
 
   /// Views for every label of interest.
-  Result<ExplanationViewSet> Explain(const GraphDatabase& db,
-                                     const std::vector<ClassLabel>& assigned,
-                                     const std::vector<ClassLabel>& labels,
-                                     const Deadline* deadline = nullptr,
-                                     ExplanationCheckpoint* checkpoint =
-                                         nullptr);
+  Result<ExplanationViewSet> Explain(
+      const GraphDatabase& db, const std::vector<ClassLabel>& assigned,
+      const std::vector<ClassLabel>& labels,
+      const CancellationToken* cancel = nullptr,
+      ExplanationCheckpoint* checkpoint = nullptr);
 
  private:
   const GcnClassifier* model_;

@@ -16,10 +16,9 @@ constexpr const char* kMagic = "gvexckpt-v2";
 }  // namespace
 
 Result<std::unique_ptr<ExplanationCheckpoint>> ExplanationCheckpoint::Open(
-    const std::string& path, bool resume, size_t cadence) {
+    const std::string& path, bool resume) {
   std::unique_ptr<ExplanationCheckpoint> ckpt(new ExplanationCheckpoint);
   ckpt->path_ = path;
-  ckpt->cadence_ = cadence == 0 ? 1 : cadence;
 
   bool have_valid_file = false;
   if (resume) {
@@ -103,24 +102,11 @@ Status ExplanationCheckpoint::Append(ClassLabel label,
 
   std::lock_guard<std::mutex> lock(mu_);
   GVEX_RETURN_NOT_OK(WriteSection(out_.get(), rec.str()));
-  if (++unflushed_ >= cadence_) {
-    out_->flush();
-    unflushed_ = 0;
-  }
+  out_->flush();
   if (!out_->good()) {
     return Status::IoError("checkpoint append to " + path_ + " failed");
   }
   records_[{label, sub.graph_index}] = sub;
-  return Status::OK();
-}
-
-Status ExplanationCheckpoint::Flush() {
-  std::lock_guard<std::mutex> lock(mu_);
-  out_->flush();
-  unflushed_ = 0;
-  if (!out_->good()) {
-    return Status::IoError("checkpoint flush to " + path_ + " failed");
-  }
   return Status::OK();
 }
 

@@ -25,21 +25,18 @@ class ExplanationCheckpoint {
  public:
   /// Open a journal at `path`. With `resume`, existing records are loaded
   /// (tolerating a torn tail) and later appends extend the file; without,
-  /// any existing file is truncated. `cadence` is the number of appended
-  /// records between flushes (1 = flush every record).
+  /// any existing file is truncated.
   static Result<std::unique_ptr<ExplanationCheckpoint>> Open(
-      const std::string& path, bool resume, size_t cadence = 1);
+      const std::string& path, bool resume);
 
   /// The journaled subgraph for (label, graph), or nullptr. The pointer
   /// stays valid for the checkpoint's lifetime (the map is append-only).
   const ExplanationSubgraph* Find(ClassLabel label, size_t graph_index) const;
 
-  /// Journal one completed subgraph. Thread-safe; a record is either fully
-  /// framed in the file or absent. Fails closed on IO errors so callers
-  /// never believe unjournaled work is durable.
+  /// Journal one completed subgraph and flush it. Thread-safe; a record
+  /// is either fully framed in the file or absent. Fails closed on IO
+  /// errors so callers never believe unjournaled work is durable.
   Status Append(ClassLabel label, const ExplanationSubgraph& sub);
-
-  Status Flush();
 
   /// Records loaded at Open time (resumed work).
   size_t loaded_count() const { return loaded_count_; }
@@ -51,8 +48,6 @@ class ExplanationCheckpoint {
   mutable std::mutex mu_;
   std::string path_;
   std::unique_ptr<std::ofstream> out_;
-  size_t cadence_ = 1;
-  size_t unflushed_ = 0;
   size_t loaded_count_ = 0;
   std::map<std::pair<ClassLabel, size_t>, ExplanationSubgraph> records_;
 };

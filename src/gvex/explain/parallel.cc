@@ -60,11 +60,6 @@ Result<ExplanationViewSet> ParallelApproxExplain(
         items.size(),
         [&](size_t i) {
           if (cancel->cancelled()) return;
-          if (options.deadline != nullptr && options.deadline->Expired()) {
-            cancel->RequestCancel(
-                Status::Timeout("explanation deadline expired"));
-            return;
-          }
           attempted[i] = 1;
           const WorkItem& item = items[i];
           if (options.checkpoint != nullptr) {
@@ -114,18 +109,6 @@ Result<ExplanationViewSet> ParallelApproxExplain(
   }
   if (options.report != nullptr) options.report->not_attempted = not_attempted;
 
-  const bool timed_out = options.deadline != nullptr &&
-                         cancel->cancelled() &&
-                         cancel->cause().IsTimeout();
-  if (timed_out && failures.empty()) {
-    std::string note = StrFormat(
-        "explanation deadline expired: %zu/%zu graphs done, %zu outstanding",
-        done, items.size(), not_attempted);
-    note += options.checkpoint != nullptr
-                ? "; partial progress journaled, re-run with resume"
-                : "; partial progress lost (no checkpoint)";
-    return Status::Timeout(std::move(note));
-  }
   if (!failures.empty()) {
     constexpr size_t kMaxListed = 8;
     std::string msg = StrFormat("%zu of %zu graph explanations failed",
@@ -147,9 +130,19 @@ Result<ExplanationViewSet> ParallelApproxExplain(
                                       : StatusCode::kInternal,
                   std::move(msg));
   }
-  if (cancel->cancelled()) {
-    // Externally cancelled without an internal failure.
+  if (not_attempted > 0) {
+    // Stopped without an internal failure: the token's deadline passed,
+    // or the caller cancelled it.
     Status cause = cancel->cause();
+    if (cause.IsTimeout()) {
+      std::string note = StrFormat(
+          "explanation deadline expired: %zu/%zu graphs done, %zu outstanding",
+          done, items.size(), not_attempted);
+      note += options.checkpoint != nullptr
+                  ? "; partial progress journaled, re-run with resume"
+                  : "; partial progress lost (no checkpoint)";
+      return Status::Timeout(std::move(note));
+    }
     return Status(cause.code(),
                   StrFormat("explanation cancelled after %zu/%zu graphs: %s",
                             done, items.size(), cause.message().c_str()));

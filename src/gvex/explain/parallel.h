@@ -3,11 +3,11 @@
 // the per-label summarize phase runs once the subgraphs are in.
 //
 // The parallel driver is also the fault-tolerance front door for long
-// jobs: it honors the caller's Deadline inside the fan-out, cancels
-// outstanding work on the first non-recoverable error, journals each
-// completed subgraph to an append-only checkpoint (and skips journaled
-// graphs on resume), and aggregates *every* per-item failure into the
-// returned Status instead of surfacing only the first.
+// jobs: it honors the caller's CancellationToken (and its deadline) inside
+// the fan-out, cancels outstanding work on the first non-recoverable
+// error, journals each completed subgraph to an append-only checkpoint
+// (and skips journaled graphs on resume), and aggregates *every* per-item
+// failure into the returned Status instead of surfacing only the first.
 #pragma once
 
 #include <cstddef>
@@ -16,7 +16,6 @@
 
 #include "gvex/common/cancellation.h"
 #include "gvex/common/result.h"
-#include "gvex/common/stopwatch.h"
 #include "gvex/explain/approx_gvex.h"
 #include "gvex/explain/checkpoint.h"
 #include "gvex/explain/config.h"
@@ -45,11 +44,10 @@ struct ParallelExplainReport {
 
 struct ParallelExplainOptions {
   size_t num_threads = 1;
-  /// Checked before each per-graph solve; expiry cancels outstanding work
-  /// and the call returns kTimeout with partial progress noted.
-  const Deadline* deadline = nullptr;
-  /// Optional external token; cancelling it stops the fan-out. A local
-  /// token is used when null (errors/deadline still cancel).
+  /// Optional external token, checked before each per-graph solve:
+  /// cancelling it, or its deadline passing, stops the fan-out, and a
+  /// deadline returns kTimeout with partial progress noted. A local token
+  /// is used when null (errors still cancel).
   CancellationToken* cancel = nullptr;
   /// Journal of completed subgraphs for checkpoint/resume.
   ExplanationCheckpoint* checkpoint = nullptr;

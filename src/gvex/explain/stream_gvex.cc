@@ -561,7 +561,7 @@ PatternReduction ReducePatterns(const std::vector<Graph>& patterns,
 
 Result<ExplanationView> StreamGvex::ExplainLabel(
     const GraphDatabase& db, const std::vector<ClassLabel>& assigned,
-    ClassLabel l, const Deadline* deadline, uint64_t order_seed) {
+    ClassLabel l, const CancellationToken* cancel, uint64_t order_seed) {
   GVEX_SPAN("stream.explain_label");
   // Start fresh unless we are resuming this exact label (after a deadline
   // expiry or injected fault, possibly via Snapshot()/Restore()).
@@ -592,7 +592,9 @@ Result<ExplanationView> StreamGvex::ExplainLabel(
   std::vector<size_t> group = GraphDatabase::LabelGroup(assigned, l);
   for (; group_pos_ < group.size(); ++group_pos_) {
     size_t gi = group[group_pos_];
-    if (deadline != nullptr && deadline->Expired()) {
+    if (cancel != nullptr && cancel->cancelled()) {
+      Status cause = cancel->cause();
+      if (!cause.IsTimeout()) return cause;
       return Status::Timeout("stream label explanation exceeded time budget");
     }
     const Graph& g = db.graph(gi);
@@ -715,13 +717,13 @@ Result<ExplanationView> StreamGvex::ResidentView() const {
 
 Result<ExplanationViewSet> StreamGvex::Explain(
     const GraphDatabase& db, const std::vector<ClassLabel>& assigned,
-    const std::vector<ClassLabel>& labels, const Deadline* deadline,
+    const std::vector<ClassLabel>& labels, const CancellationToken* cancel,
     uint64_t order_seed) {
   ExplanationViewSet set;
   for (ClassLabel l : labels) {
     GVEX_ASSIGN_OR_RETURN(
         ExplanationView view,
-        ExplainLabel(db, assigned, l, deadline, order_seed));
+        ExplainLabel(db, assigned, l, cancel, order_seed));
     set.views.push_back(std::move(view));
   }
   return set;

@@ -25,8 +25,8 @@
 #include <unordered_set>
 #include <vector>
 
+#include "gvex/common/cancellation.h"
 #include "gvex/common/result.h"
-#include "gvex/common/stopwatch.h"
 #include "gvex/explain/config.h"
 #include "gvex/explain/everify.h"
 #include "gvex/explain/view.h"
@@ -83,17 +83,15 @@ class StreamGvex {
       const std::vector<NodeId>* order = nullptr);
 
   /// Views per label, as in ApproxGvex::Explain but via the stream path.
-  Result<ExplanationView> ExplainLabel(const GraphDatabase& db,
-                                       const std::vector<ClassLabel>& assigned,
-                                       ClassLabel l,
-                                       const Deadline* deadline = nullptr,
-                                       uint64_t order_seed = 0);
+  Result<ExplanationView> ExplainLabel(
+      const GraphDatabase& db, const std::vector<ClassLabel>& assigned,
+      ClassLabel l, const CancellationToken* cancel = nullptr,
+      uint64_t order_seed = 0);
 
-  Result<ExplanationViewSet> Explain(const GraphDatabase& db,
-                                     const std::vector<ClassLabel>& assigned,
-                                     const std::vector<ClassLabel>& labels,
-                                     const Deadline* deadline = nullptr,
-                                     uint64_t order_seed = 0);
+  Result<ExplanationViewSet> Explain(
+      const GraphDatabase& db, const std::vector<ClassLabel>& assigned,
+      const std::vector<ClassLabel>& labels,
+      const CancellationToken* cancel = nullptr, uint64_t order_seed = 0);
 
   /// Live ingest (gvex::ingest): feed one graph into the resident per-label
   /// state without a surrounding ExplainLabel call. The first call opens a

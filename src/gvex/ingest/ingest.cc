@@ -166,9 +166,7 @@ std::future<serve::Response> IngestManager::Submit(serve::Request req) {
     return future;
   }
   if (item->req.deadline_ms > 0) {
-    item->has_deadline = true;
-    item->deadline = std::chrono::steady_clock::now() +
-                     std::chrono::milliseconds(item->req.deadline_ms);
+    item->cancel.ExpireAfter(item->req.deadline_ms * 1e-3);
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -205,8 +203,7 @@ void IngestManager::WorkerLoop() {
       queue_.pop_front();
     }
     // Queued-expiry drop: the cancellable half of the admission contract.
-    if (item->has_deadline &&
-        std::chrono::steady_clock::now() >= item->deadline) {
+    if (item->cancel.cancelled()) {
       GVEX_COUNTER_INC("ingest.deadline_miss");
       item->promise.set_value(serve::ErrorResponse(
           item->req.id, Status::Timeout("ingest deadline expired in queue")));
@@ -298,12 +295,10 @@ serve::Response IngestManager::ProcessGraph(const serve::Request& req) {
     GVEX_COUNTER_INC("ingest.accepted");
     window_.push_back({req.label, req.graph, explainability});
     if (window_.size() > options_.drift_window) window_.pop_front();
-    uint64_t total_accepted;
     {
       std::lock_guard<std::mutex> lock(mu_);
       ++accepted_;
       ++resident_graphs_;
-      total_accepted = accepted_;
     }
     ++accepted_since_publish_;
     if (journal_ != nullptr &&
@@ -321,9 +316,7 @@ serve::Response IngestManager::ProcessGraph(const serve::Request& req) {
       std::lock_guard<std::mutex> lock(mu_);
       drift = drift_;
     }
-    if (drift >= options_.drift_threshold &&
-        total_accepted >= options_.min_publish_graphs &&
-        accepted_since_publish_ > 0) {
+    if (drift >= options_.drift_threshold && accepted_since_publish_ > 0) {
       Result<uint64_t> gen = Publish();
       if (gen.ok()) {
         published = true;

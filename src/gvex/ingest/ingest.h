@@ -56,6 +56,7 @@
 
 #include "gvex/cluster/publisher.h"
 #include "gvex/cluster/shard_map.h"
+#include "gvex/common/cancellation.h"
 #include "gvex/common/result.h"
 #include "gvex/explain/config.h"
 #include "gvex/explain/stream_gvex.h"
@@ -82,8 +83,6 @@ struct IngestOptions {
   std::string journal_path;
   /// Restore from an existing journal instead of truncating it.
   bool resume = false;
-  /// Don't auto-publish before this many graphs were accepted.
-  size_t min_publish_graphs = 1;
   /// Solver configuration for the resident StreamGvex instances.
   Configuration config;
   /// Fan-out after a local install: every auto-published bundle is also
@@ -159,8 +158,7 @@ class IngestManager {
     Kind kind = Kind::kGraph;
     serve::Request req;
     std::promise<serve::Response> promise;
-    std::chrono::steady_clock::time_point deadline{};
-    bool has_deadline = false;
+    CancellationToken cancel;  ///< carries the request's deadline
   };
 
   void WorkerLoop();

@@ -111,7 +111,8 @@ uint64_t HistogramSnapshot::Quantile(double q) const {
   for (size_t b = 0; b < buckets.size(); ++b) {
     seen += buckets[b];
     if (seen >= target) {
-      return b == 0 ? 0 : (uint64_t{1} << b) - 1;  // bucket upper bound
+      const uint64_t upper = b == 0 ? 0 : (uint64_t{1} << b) - 1;
+      return std::min(std::max(upper, min), max);
     }
   }
   return max;

@@ -19,9 +19,8 @@
 // Cost model: with observability enabled (the default) a disarmed span is
 // one relaxed atomic load; a counter add is a load + one sharded relaxed
 // fetch_add. SetEnabled(false) turns counters/histograms into a single
-// load+branch. Compiling with -DGVEX_OBS_DISABLED (CMake option
-// GVEX_OBS_DISABLED) removes every macro body outright. The measured
-// budget is <2% on the bench_micro_kernels hot kernels.
+// load+branch. The measured budget is <2% on the bench_micro_kernels hot
+// kernels.
 #pragma once
 
 #include <atomic>
@@ -102,7 +101,8 @@ struct HistogramSnapshot {
     return count == 0 ? 0.0
                       : static_cast<double>(sum) / static_cast<double>(count);
   }
-  /// Upper bound of the bucket holding the q-quantile (q in [0,1]).
+  /// Upper bound of the bucket holding the q-quantile (q in [0,1]),
+  /// clamped to [min, max] so no quantile exceeds a recorded value.
   uint64_t Quantile(double q) const;
 };
 
@@ -245,16 +245,6 @@ Status WriteChromeTrace(const std::string& path);
 #define GVEX_OBS_CONCAT_INNER(a, b) a##b
 #define GVEX_OBS_CONCAT(a, b) GVEX_OBS_CONCAT_INNER(a, b)
 
-#ifdef GVEX_OBS_DISABLED
-
-#define GVEX_SPAN(name) ((void)0)
-#define GVEX_COUNTER_ADD(name, delta) ((void)0)
-#define GVEX_COUNTER_INC(name) ((void)0)
-#define GVEX_HISTOGRAM_RECORD(name, value) ((void)0)
-#define GVEX_LATENCY_US(name) ((void)0)
-
-#else
-
 /// Trace the enclosing scope as a span named `name` (string literal).
 #define GVEX_SPAN(name) \
   ::gvex::obs::SpanTimer GVEX_OBS_CONCAT(_gvex_span_, __LINE__)(name)
@@ -292,5 +282,3 @@ Status WriteChromeTrace(const std::string& path);
       ::gvex::obs::Registry::Global().GetHistogram("" name "");       \
   ::gvex::obs::LatencyTimer GVEX_OBS_CONCAT(_gvex_lat_, __LINE__)(    \
       &GVEX_OBS_CONCAT(_gvex_lat_hist_, __LINE__))
-
-#endif  // GVEX_OBS_DISABLED

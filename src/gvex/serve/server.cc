@@ -18,8 +18,6 @@ namespace serve {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
 const std::string& RouteOf(const Request& req) {
   static const std::string kDefault = cluster::kDefaultRoute;
   return req.route.empty() ? kDefault : req.route;
@@ -118,59 +116,6 @@ Result<std::pair<std::string, RouteQuota>> ParseRouteQuotaSpec(
   return std::make_pair(route, quota);
 }
 
-// ---- DeadlineMonitor --------------------------------------------------------
-
-void ExplanationServer::DeadlineMonitor::Start() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (started_) return;
-  started_ = true;
-  stopping_ = false;
-  thread_ = std::thread([this] { Loop(); });
-}
-
-void ExplanationServer::DeadlineMonitor::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!started_) return;
-    stopping_ = true;
-  }
-  cv_.notify_all();
-  thread_.join();
-  std::lock_guard<std::mutex> lock(mu_);
-  started_ = false;
-  entries_.clear();
-}
-
-void ExplanationServer::DeadlineMonitor::Watch(
-    std::shared_ptr<CancellationToken> token, Clock::time_point deadline) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    entries_.emplace_back(deadline, std::move(token));
-  }
-  cv_.notify_all();
-}
-
-void ExplanationServer::DeadlineMonitor::Loop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  while (!stopping_) {
-    const Clock::time_point now = Clock::now();
-    Clock::time_point next = now + std::chrono::seconds(1);
-    // Fire expired tokens, find the earliest pending deadline.
-    size_t kept = 0;
-    for (auto& entry : entries_) {
-      if (entry.first <= now) {
-        entry.second->RequestCancel(
-            Status::Timeout("request deadline expired"));
-        continue;  // dropped
-      }
-      next = std::min(next, entry.first);
-      entries_[kept++] = std::move(entry);
-    }
-    entries_.resize(kept);
-    cv_.wait_until(lock, next);
-  }
-}
-
 // ---- ExplanationServer ------------------------------------------------------
 
 ExplanationServer::ExplanationServer(ViewRegistry* registry,
@@ -189,7 +134,6 @@ Status ExplanationServer::Start() {
   started_ = true;
   stopping_ = false;
   queue_peak_ = 0;
-  monitor_.Start();
   workers_.reserve(options_.num_workers);
   for (size_t i = 0; i < options_.num_workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -206,7 +150,6 @@ void ExplanationServer::Stop() {
   cv_.notify_all();
   for (auto& worker : workers_) worker.join();
   workers_.clear();
-  monitor_.Stop();
   std::lock_guard<std::mutex> lock(mu_);
   started_ = false;
 }
@@ -215,7 +158,6 @@ std::future<Response> ExplanationServer::Submit(Request req) {
   GVEX_COUNTER_INC("serve.requests");
   auto item = std::make_unique<Item>();
   item->req = std::move(req);
-  item->cancel = std::make_shared<CancellationToken>();
   item->enqueue_us = obs::NowMicros();
   std::future<Response> future = item->promise.get_future();
 
@@ -247,7 +189,7 @@ std::future<Response> ExplanationServer::Submit(Request req) {
     // able to observe saturation while the admission queue is shedding
     // everything else.
     if (admission == Admission::kInline) {
-      item->promise.set_value(Execute(item->req, nullptr, item->cancel.get()));
+      item->promise.set_value(Execute(item->req, nullptr, &item->cancel));
       return future;
     }
     // Ingest never touches the shared query queue: the process owner's
@@ -266,13 +208,9 @@ std::future<Response> ExplanationServer::Submit(Request req) {
   const uint32_t deadline_ms = item->req.deadline_ms != 0
                                    ? item->req.deadline_ms
                                    : options_.default_deadline_ms;
-  if (deadline_ms != 0) {
-    item->has_deadline = true;
-    item->deadline = Clock::now() + std::chrono::milliseconds(deadline_ms);
-  }
+  // Armed before the item is queued: no other thread holds the token yet.
+  if (deadline_ms != 0) item->cancel.ExpireAfter(deadline_ms * 1e-3);
 
-  std::shared_ptr<CancellationToken> token_to_watch;
-  Clock::time_point watch_deadline{};
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!started_ || stopping_) {
@@ -309,15 +247,8 @@ std::future<Response> ExplanationServer::Submit(Request req) {
       return future;
     }
     ++load.queued;
-    if (item->has_deadline) {
-      token_to_watch = item->cancel;
-      watch_deadline = item->deadline;
-    }
     queue_.push_back(std::move(item));
     queue_peak_ = std::max(queue_peak_, queue_.size());
-  }
-  if (token_to_watch != nullptr) {
-    monitor_.Watch(std::move(token_to_watch), watch_deadline);
   }
   cv_.notify_one();
   return future;
@@ -447,7 +378,7 @@ void ExplanationServer::Process(Item* item, const LoadedViewSet* snap) {
   // Requests that expired while queued are dropped without paying for
   // execution — under overload this is what keeps goodput from
   // collapsing to zero.
-  if (item->has_deadline && Clock::now() >= item->deadline) {
+  if (item->cancel.cancelled()) {
     GVEX_COUNTER_INC("serve.deadline_miss");
     GVEX_COUNTER_INC("serve.responses_error");
     item->promise.set_value(ErrorResponse(
@@ -457,14 +388,11 @@ void ExplanationServer::Process(Item* item, const LoadedViewSet* snap) {
   Response resp;
   {
     obs::LatencyTimer timer(&ExecHistogram(item->req.type));
-    resp = Execute(item->req, snap, item->cancel.get());
+    resp = Execute(item->req, snap, &item->cancel);
   }
-  if (resp.ok() && item->cancel->cancelled()) {
+  if (resp.ok() && item->cancel.cancelled()) {
     GVEX_COUNTER_INC("serve.deadline_miss");
-    Status cause = item->cancel->cause();
-    resp = ErrorResponse(item->req.id,
-                         cause.ok() ? Status::Timeout("request cancelled")
-                                    : cause);
+    resp = ErrorResponse(item->req.id, item->cancel.cause());
   }
   if (resp.ok()) {
     GVEX_COUNTER_INC("serve.responses_ok");

@@ -12,12 +12,12 @@
 // ThreadPool via the existing hot paths, so request-level and
 // operator-level parallelism compose (DESIGN.md §8).
 //
-// Deadlines ride the existing CancellationToken: each admitted request
-// with a deadline registers its token with a monitor thread that flips
-// it at expiry; ViewQuery checks the token between per-subgraph matches,
-// the worker maps a flipped token to kTimeout, and requests that expire
-// while still queued are dropped in O(1) at dispatch
-// ("serve.deadline_miss").
+// Deadlines are part of each request's CancellationToken: Submit arms the
+// token with the request's deadline before queueing it, and there is no
+// monitor thread — the deadline fires when a worker checks the token.
+// ViewQuery checks it between per-subgraph matches, the worker maps a
+// fired token to kTimeout, and requests that expire while still queued
+// are dropped in O(1) at dispatch ("serve.deadline_miss").
 //
 // Route quotas (gvex::cluster self-protection): each route may carry an
 // admission budget — a per-route queue depth and a worker-share cap —
@@ -41,7 +41,6 @@
 // registry generation and queue state.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -109,7 +108,8 @@ class ExplanationServer {
   ExplanationServer(const ExplanationServer&) = delete;
   ExplanationServer& operator=(const ExplanationServer&) = delete;
 
-  /// Spawn the worker and deadline-monitor threads. Idempotent.
+  /// Spawn the `num_workers` worker threads — the server's only threads
+  /// (deadlines live on each request's token). Idempotent.
   Status Start();
 
   /// Drain the queue, join every thread. New submissions are rejected
@@ -171,30 +171,8 @@ class ExplanationServer {
   struct Item {
     Request req;
     std::promise<Response> promise;
-    std::shared_ptr<CancellationToken> cancel;
-    std::chrono::steady_clock::time_point deadline{};
-    bool has_deadline = false;
+    CancellationToken cancel;  ///< carries the request's deadline
     uint64_t enqueue_us = 0;
-  };
-
-  class DeadlineMonitor {
-   public:
-    void Start();
-    void Stop();
-    void Watch(std::shared_ptr<CancellationToken> token,
-               std::chrono::steady_clock::time_point deadline);
-
-   private:
-    void Loop();
-
-    std::mutex mu_;
-    std::condition_variable cv_;
-    std::vector<std::pair<std::chrono::steady_clock::time_point,
-                          std::shared_ptr<CancellationToken>>>
-        entries_;
-    std::thread thread_;
-    bool stopping_ = false;
-    bool started_ = false;
   };
 
   /// Occupancy bookkeeping for one route (created on first sight).
@@ -231,7 +209,6 @@ class ExplanationServer {
   EvaluateHandler evaluate_handler_;
 
   std::vector<std::thread> workers_;
-  DeadlineMonitor monitor_;
 };
 
 /// \brief In-process client handle: the same request/response contract as

@@ -262,14 +262,9 @@ void SocketServer::Stop() {
     }
   }
   if (join_accept) accept_thread_.join();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  if (!unix_path_.empty()) {
-    ::unlink(unix_path_.c_str());
-    unix_path_.clear();
-  }
+  // Connection threads are joined before the listener closes: a kShutdown
+  // reply still calls shutdown() on listen_fd_, which must not hit a
+  // descriptor number the process has reused meanwhile.
   std::vector<std::unique_ptr<Connection>> victims;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -279,6 +274,14 @@ void SocketServer::Stop() {
     ::shutdown(conn->fd, SHUT_RDWR);  // unblock a reading connection thread
     if (conn->thread.joinable()) conn->thread.join();
     ::close(conn->fd);
+  }
+  if (listen_fd_ >= 0) {
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+  }
+  if (!unix_path_.empty()) {
+    ::unlink(unix_path_.c_str());
+    unix_path_.clear();
   }
 }
 

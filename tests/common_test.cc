@@ -1,14 +1,16 @@
 // Unit tests for the common utilities: Status/Result, Rng, string helpers,
-// thread pool, stopwatch.
+// thread pool, cancellation token.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
+#include <thread>
 
+#include "gvex/common/cancellation.h"
 #include "gvex/common/result.h"
 #include "gvex/common/rng.h"
 #include "gvex/common/status.h"
-#include "gvex/common/stopwatch.h"
 #include "gvex/common/string_util.h"
 #include "gvex/common/thread_pool.h"
 
@@ -233,16 +235,28 @@ TEST(ThreadPoolTest, SharedPoolIsUsableAndStable) {
   EXPECT_EQ(total.load(), 32);
 }
 
-TEST(StopwatchTest, DeadlineSemantics) {
-  Deadline none(0.0);
-  EXPECT_FALSE(none.Expired());
-  Deadline tight(1e-9);
-  // Spin briefly; an (effectively) zero budget must expire immediately.
-  double sink = 0;
-  for (int i = 0; i < 1000; ++i) sink += i;
-  EXPECT_GT(sink, 0.0);
-  EXPECT_TRUE(tight.Expired());
-  EXPECT_GT(none.RemainingSeconds(), 1e17);
+TEST(CancellationTokenTest, DeadlineSemantics) {
+  CancellationToken none;
+  EXPECT_FALSE(none.cancelled());
+  EXPECT_TRUE(none.cause().ok());
+
+  // A passed deadline reads as cancelled with a kTimeout cause, and stays
+  // cancelled: the cause is latched, not recomputed.
+  CancellationToken passed;
+  passed.ExpireAfter(0.0);
+  EXPECT_TRUE(passed.cancelled());
+  EXPECT_TRUE(passed.cause().IsTimeout());
+  passed.RequestCancel(Status::Internal("too late"));
+  EXPECT_TRUE(passed.cancelled());
+  EXPECT_TRUE(passed.cause().IsTimeout());
+
+  // An explicit cancel made before the deadline keeps its own cause.
+  CancellationToken early;
+  early.ExpireAfter(0.1);
+  early.RequestCancel(Status::IoError("disk gone"));
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  EXPECT_TRUE(early.cancelled());
+  EXPECT_TRUE(early.cause().IsIoError());
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include "gvex/explain/stream_gvex.h"
 #include "gvex/ingest/ingest.h"
 #include "gvex/ingest/journal.h"
+#include "gvex/obs/obs.h"
 #include "gvex/serve/protocol.h"
 #include "gvex/serve/server.h"
 #include "gvex/serve/view_registry.h"
@@ -373,6 +374,35 @@ TEST(IngestManagerTest, AdmissionBoundShedsWithOverloaded) {
   status.type = serve::RequestType::kIngest;
   status.text = "status";
   EXPECT_TRUE(mgr.Submit(std::move(status)).get().ok());
+  mgr.Stop();
+}
+
+TEST(IngestManagerTest, DeadlineExpiryWhileQueuedSkipsTheFeed) {
+  const auto& ctx = MutagenicityContext();
+  serve::ViewRegistry registry;
+  IngestOptions opts;
+  opts.config = TestConfig();
+  IngestManager mgr(&registry, CtxModel(), opts);
+  ASSERT_TRUE(mgr.Start().ok());
+  obs::Counter& misses =
+      obs::Registry::Global().GetCounter("ingest.deadline_miss");
+  const uint64_t misses_before = misses.Value();
+
+  // The first graph holds the dedicated worker at the feed; the second,
+  // with a 10 ms deadline, expires behind it and is never fed.
+  failpoint::ScopedFailpoint slow("ingest.feed", "delay(80)");
+  std::future<serve::Response> first =
+      mgr.Submit(GraphReq(ctx.db.graph(0), ctx.assigned[0], 0));
+  serve::Request late = GraphReq(ctx.db.graph(1), ctx.assigned[1], 0);
+  late.deadline_ms = 10;
+  std::future<serve::Response> second = mgr.Submit(std::move(late));
+  const serve::Response fed = first.get();
+  EXPECT_TRUE(fed.ok()) << fed.message;
+  const serve::Response dropped = second.get();
+  EXPECT_EQ(dropped.code, StatusCode::kTimeout);
+  EXPECT_EQ(dropped.message, "ingest deadline expired in queue");
+  EXPECT_EQ(misses.Value() - misses_before, 1u);
+  EXPECT_EQ(mgr.Info().accepted + mgr.Info().infeasible, 1u);
   mgr.Stop();
 }
 

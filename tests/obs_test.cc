@@ -85,6 +85,17 @@ TEST_F(ObsTest, HistogramMergesExactlyUnderContention) {
   EXPECT_LE(snap.Quantile(0.99), 15u);
 }
 
+TEST_F(ObsTest, QuantilesNeverExceedTheRecordedMax) {
+  // 10221 lands in the [8192, 16383] bucket; the bucket's upper bound is
+  // not a value anyone recorded.
+  obs::Histogram& hist = obs::Registry::Global().GetHistogram("test.flat_us");
+  for (int i = 0; i < 10; ++i) hist.Record(10221);
+  obs::HistogramSnapshot snap = hist.Snapshot();
+  EXPECT_EQ(snap.max, 10221u);
+  EXPECT_EQ(snap.Quantile(0.5), 10221u);
+  EXPECT_EQ(snap.Quantile(0.99), 10221u);
+}
+
 TEST_F(ObsTest, SetEnabledFalseSuppressesRecording) {
   obs::SetEnabled(false);
   GVEX_COUNTER_INC("test.disabled_counter");

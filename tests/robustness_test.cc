@@ -83,7 +83,8 @@ Configuration TestConfig() {
 TEST(RobustnessTest, ApproxRespectsExpiredDeadline) {
   const auto& ctx = MutagenicityContext();
   ApproxGvex solver(&ctx.model, TestConfig());
-  Deadline expired(1e-9);
+  CancellationToken expired;
+  expired.ExpireAfter(0.0);
   auto view = solver.ExplainLabel(ctx.db, ctx.assigned, 1, &expired);
   EXPECT_TRUE(view.status().IsTimeout());
 }
@@ -91,7 +92,8 @@ TEST(RobustnessTest, ApproxRespectsExpiredDeadline) {
 TEST(RobustnessTest, StreamRespectsExpiredDeadline) {
   const auto& ctx = MutagenicityContext();
   StreamGvex solver(&ctx.model, TestConfig());
-  Deadline expired(1e-9);
+  CancellationToken expired;
+  expired.ExpireAfter(0.0);
   auto view = solver.ExplainLabel(ctx.db, ctx.assigned, 1, &expired);
   EXPECT_TRUE(view.status().IsTimeout());
 }
@@ -352,10 +354,11 @@ TEST(CheckpointTest, AppendFailpointFailsClosed) {
 
 TEST(ParallelRobustnessTest, ExpiredDeadlineReturnsTimeout) {
   const auto& ctx = MutagenicityContext();
-  Deadline expired(1e-9);
+  CancellationToken expired;
+  expired.ExpireAfter(0.0);
   ParallelExplainOptions options;
   options.num_threads = 2;
-  options.deadline = &expired;
+  options.cancel = &expired;
   ParallelExplainReport report;
   options.report = &report;
   auto set = ParallelApproxExplain(ctx.model, ctx.db, ctx.assigned, {0, 1},

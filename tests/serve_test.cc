@@ -16,6 +16,7 @@
 #include "gvex/explain/query.h"
 #include "gvex/explain/view_io.h"
 #include "gvex/obs/json.h"
+#include "gvex/obs/obs.h"
 #include "gvex/serve/protocol.h"
 #include "gvex/serve/server.h"
 #include "gvex/serve/socket.h"
@@ -391,6 +392,37 @@ TEST_F(ServeEngineTest, DeadlineExpiryMidExecutionReturnsTimeout) {
   req.deadline_ms = 15;
   Response resp = server_->Call(req);
   EXPECT_EQ(resp.code, StatusCode::kTimeout) << resp.message;
+}
+
+TEST_F(ServeEngineTest, DeadlineExpiryWhileQueuedSkipsExecution) {
+  // One worker, no batching: the first request holds the only worker in
+  // Execute while the second, with a 10 ms deadline, waits behind it.
+  server_->Stop();
+  options_.num_workers = 1;
+  options_.batch_max = 1;
+  server_ = std::make_unique<ExplanationServer>(&registry_, options_);
+  ASSERT_TRUE(server_->Start().ok());
+  obs::Counter& misses =
+      obs::Registry::Global().GetCounter("serve.deadline_miss");
+  obs::Histogram& exec = obs::Registry::Global().GetHistogram(
+      ExecHistogramName(RequestType::kSupport));
+  const uint64_t misses_before = misses.Value();
+  const uint64_t execs_before = exec.Snapshot().count;
+
+  failpoint::ScopedFailpoint delay("serve.exec_delay", "delay(80)");
+  std::future<Response> first =
+      server_->Submit(PatternRequest(RequestType::kSupport, 1));
+  Request late = PatternRequest(RequestType::kSupport, 1);
+  late.deadline_ms = 10;
+  std::future<Response> second = server_->Submit(late);
+  const Response served = first.get();
+  EXPECT_TRUE(served.ok()) << served.message;
+  const Response dropped = second.get();
+  EXPECT_EQ(dropped.code, StatusCode::kTimeout);
+  EXPECT_EQ(dropped.message, "deadline expired while queued");
+  EXPECT_EQ(misses.Value() - misses_before, 1u);
+  EXPECT_EQ(exec.Snapshot().count - execs_before, 1u)
+      << "the expired request must never reach Execute";
 }
 
 TEST_F(ServeEngineTest, InjectedAdmissionFailureShedsExactlyOnce) {

@@ -122,10 +122,22 @@ Fleet* BuildFleet(RouterOptions ropts) {
   return f;
 }
 
-Fleet& SharedFleet() {
-  static Fleet* fleet = BuildFleet(RouterOptions{});
-  return *fleet;
-}
+/// The ShardRouterTest cases share one fleet, built on first use and
+/// destroyed when the suite ends, so the router joins its last hedge-leg
+/// threads before the process exits.
+class ShardRouterTest : public ::testing::Test {
+ protected:
+  static Fleet& SharedFleet() {
+    if (shared_ == nullptr) shared_.reset(BuildFleet(RouterOptions{}));
+    return *shared_;
+  }
+  static void TearDownTestSuite() { shared_.reset(); }
+
+ private:
+  static std::unique_ptr<Fleet> shared_;
+};
+
+std::unique_ptr<Fleet> ShardRouterTest::shared_;
 
 Request PatternRequest(RequestType type, ClassLabel label) {
   Request req;
@@ -158,7 +170,7 @@ void ExpectSameCoverage(const std::vector<ViewCoverage>& fleet,
 
 // ---- corpus-wide queries ----------------------------------------------------
 
-TEST(ShardRouterTest, SupportMatchesUnionServer) {
+TEST_F(ShardRouterTest, SupportMatchesUnionServer) {
   Fleet& f = SharedFleet();
   for (ClassLabel label : {0, 1}) {
     const Request req = PatternRequest(RequestType::kSupport, label);
@@ -172,7 +184,7 @@ TEST(ShardRouterTest, SupportMatchesUnionServer) {
   }
 }
 
-TEST(ShardRouterTest, ContainsTranslatesToUnionIndices) {
+TEST_F(ShardRouterTest, ContainsTranslatesToUnionIndices) {
   Fleet& f = SharedFleet();
   for (ClassLabel label : {0, 1}) {
     const Request req =
@@ -188,7 +200,7 @@ TEST(ShardRouterTest, ContainsTranslatesToUnionIndices) {
   }
 }
 
-TEST(ShardRouterTest, FindHitsMergesInUnionOrder) {
+TEST_F(ShardRouterTest, FindHitsMergesInUnionOrder) {
   Fleet& f = SharedFleet();
   const Request req = PatternRequest(RequestType::kFindHits, 0);
   const Response fleet = f.router->Call(req);
@@ -198,7 +210,7 @@ TEST(ShardRouterTest, FindHitsMergesInUnionOrder) {
   EXPECT_EQ(fleet.hits, single.hits);
 }
 
-TEST(ShardRouterTest, DiscriminativeIntersectionMatchesUnion) {
+TEST_F(ShardRouterTest, DiscriminativeIntersectionMatchesUnion) {
   Fleet& f = SharedFleet();
   Request req;
   req.type = RequestType::kDiscriminativePatterns;
@@ -219,7 +231,7 @@ TEST(ShardRouterTest, DiscriminativeIntersectionMatchesUnion) {
   }
 }
 
-TEST(ShardRouterTest, CoverageStatsEqualUnionServer) {
+TEST_F(ShardRouterTest, CoverageStatsEqualUnionServer) {
   Fleet& f = SharedFleet();
   Request req;
   req.type = RequestType::kCoverageStats;
@@ -232,7 +244,7 @@ TEST(ShardRouterTest, CoverageStatsEqualUnionServer) {
                      /*with_graph_ids=*/false);
 }
 
-TEST(ShardRouterTest, ShardInfoMergesToUnionCoverage) {
+TEST_F(ShardRouterTest, ShardInfoMergesToUnionCoverage) {
   Fleet& f = SharedFleet();
   Request req;
   req.type = RequestType::kShardInfo;
@@ -247,7 +259,7 @@ TEST(ShardRouterTest, ShardInfoMergesToUnionCoverage) {
                      /*with_graph_ids=*/true);
 }
 
-TEST(ShardRouterTest, TopViewsRanksAndTruncatesLikeUnion) {
+TEST_F(ShardRouterTest, TopViewsRanksAndTruncatesLikeUnion) {
   Fleet& f = SharedFleet();
   for (uint32_t top_k : {1u, 2u, 10u}) {
     Request req;
@@ -266,7 +278,7 @@ TEST(ShardRouterTest, TopViewsRanksAndTruncatesLikeUnion) {
 
 // ---- point queries ----------------------------------------------------------
 
-TEST(ShardRouterTest, ClassifyExplainMatchesUnionServer) {
+TEST_F(ShardRouterTest, ClassifyExplainMatchesUnionServer) {
   Fleet& f = SharedFleet();
   const auto& ctx = MutagenicityContext();
   Request req;
@@ -283,7 +295,7 @@ TEST(ShardRouterTest, ClassifyExplainMatchesUnionServer) {
   EXPECT_EQ(fleet.indices, single.indices);
 }
 
-TEST(ShardRouterTest, PointRestrictedPatternQueryMatchesUnion) {
+TEST_F(ShardRouterTest, PointRestrictedPatternQueryMatchesUnion) {
   Fleet& f = SharedFleet();
   const ExplanationView* view = FleetViews().ForLabel(0);
   ASSERT_NE(view, nullptr);
@@ -310,7 +322,7 @@ TEST(ShardRouterTest, PointRestrictedPatternQueryMatchesUnion) {
   }
 }
 
-TEST(ShardRouterTest, PointQueryForUncoveredGraphIsNotFoundEverywhere) {
+TEST_F(ShardRouterTest, PointQueryForUncoveredGraphIsNotFoundEverywhere) {
   Fleet& f = SharedFleet();
   Request req = PatternRequest(RequestType::kSupport, 0);
   req.graph_index = 1 << 20;  // far outside the corpus
@@ -323,7 +335,7 @@ TEST(ShardRouterTest, PointQueryForUncoveredGraphIsNotFoundEverywhere) {
 
 // ---- failure accounting -----------------------------------------------------
 
-TEST(ShardRouterTest, DeadShardFlagsPartialResultNeverWrongAggregate) {
+TEST_F(ShardRouterTest, DeadShardFlagsPartialResultNeverWrongAggregate) {
   // A private fleet: this test kills a shard, which must not disturb
   // the shared fixture.
   std::unique_ptr<Fleet> f(BuildFleet(RouterOptions{}));
@@ -355,7 +367,7 @@ TEST(ShardRouterTest, DeadShardFlagsPartialResultNeverWrongAggregate) {
   }
 }
 
-TEST(ShardRouterTest, HedgedRequestWinsOverSlowPrimaryWithSameAnswer) {
+TEST_F(ShardRouterTest, HedgedRequestWinsOverSlowPrimaryWithSameAnswer) {
   std::unique_ptr<Fleet> f(
       BuildFleet(RouterOptions{/*hedge_ms=*/10, /*shard_deadline_ms=*/0}));
 
@@ -386,7 +398,7 @@ TEST(ShardRouterTest, HedgedRequestWinsOverSlowPrimaryWithSameAnswer) {
   EXPECT_GE(stats.hedge_wins, 1u);
 }
 
-TEST(ShardRouterTest, RouterAnswersAdminVerbsLocally) {
+TEST_F(ShardRouterTest, RouterAnswersAdminVerbsLocally) {
   Fleet& f = SharedFleet();
   Request ping;
   ping.type = RequestType::kPing;
@@ -413,7 +425,7 @@ TEST(ShardRouterTest, RouterAnswersAdminVerbsLocally) {
   }
 }
 
-TEST(ShardRouterTest, HealthAggregatesAcrossShards) {
+TEST_F(ShardRouterTest, HealthAggregatesAcrossShards) {
   Fleet& f = SharedFleet();
   Request req;
   req.type = RequestType::kHealth;

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Build and run the test suite under AddressSanitizer + UndefinedBehaviorSanitizer.
+# Build and run the test suite under AddressSanitizer + UndefinedBehaviorSanitizer,
+# then the concurrent suites under ThreadSanitizer.
 #
 # The corruption/fuzz tests (io_corruption_test, robustness_test) feed
 # truncated and bit-flipped inputs to every loader; running them under
@@ -29,7 +30,7 @@ ctest --test-dir build-asan --output-on-failure -L chaos-smoke
 
 # The serving smoke (also registered as the `serve-smoke`,
 # `cluster-smoke`, `ingest-smoke`, `fleet-smoke`, and `zoo-smoke` ctest
-# labels) exercises the socket server, worker pool, deadline monitor,
+# labels) exercises the socket server, worker pool, request deadlines,
 # route quotas, fan-out publish, the primary->standby replication loop,
 # the live-ingest write path (journaled crash-exact resume under a real
 # kill -9), and the explainer-zoo evaluation gate; under ASan/UBSan it
@@ -44,3 +45,15 @@ tools/run_server_smoke.sh build-asan/tools/gvex_tool all
 # out-of-bounds class the io_corruption tests gate for v1 loaders.
 ctest --test-dir build-asan --output-on-failure \
   -R 'ArenaTest|CsrViewTest|Fp16Test|Int8Test|QuantizedModelTest|QuantizedBundleTest'
+
+# The thread-sanitizer leg: every suite that runs threads against each
+# other — server workers and socket connections, route quotas, ingest,
+# replication, the shard router's hedge legs, the cluster and zoo, the
+# thread pool and parallel explain, chaos schedules, publish fan-out, the
+# obs registry, the checkpoint journal and the MatchCache — in one
+# process. Any data race or leaked thread fails the run; there are no
+# suppressions.
+cmake --preset tsan
+cmake --build --preset tsan -j "$(nproc)"
+TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" build-tsan/tests/gvex_tests \
+  --gtest_filter='Serve*:RouteQuota*:Ingest*:Replication*:ShardRouter*:Cluster*:Zoo*:ThreadPool*:Parallel*:Chaos*:Publish*:ObsTest.*:CheckpointTest.*:MatchCache*'
