@@ -57,10 +57,10 @@ Graph MakeBenchGraph(size_t n, uint64_t seed) {
   return g;
 }
 
-GcnClassifier MakeBenchModel() {
+GcnClassifier MakeBenchModel(size_t hidden_dim = 64) {
   GcnConfig cfg;
   cfg.input_dim = 8;
-  cfg.hidden_dim = 64;
+  cfg.hidden_dim = hidden_dim;
   cfg.num_layers = 3;
   cfg.num_classes = 2;
   auto m = GcnClassifier::Create(cfg);
@@ -154,8 +154,8 @@ BENCHMARK(BM_GcnTrainingStep);
 // ---- observability overhead probe ---------------------------------------------
 //
 // The <2% budget (docs/OBSERVABILITY.md) is verified on the most heavily
-// instrumented kernels: GCN forward (counter + latency histogram per
-// call) and VF2 matching (span + three counter flushes per run). The
+// instrumented kernels: the GCN forward and inference forward (counter +
+// latency histogram per call) and VF2 matching (span + three counter flushes per run). The
 // runtime kill-switch flips obs::SetEnabled inside one binary, so both
 // arms execute the exact same code; interleaved A/B rounds cancel drift
 // on a busy host.
@@ -169,6 +169,7 @@ double MeasureObsOverheadPct(gvex::obs::PerfReport* report) {
 
   auto workload = [&]() {
     benchmark::DoNotOptimize(model.Forward(g));
+    benchmark::DoNotOptimize(model.Infer(g));
     benchmark::DoNotOptimize(Vf2Matcher::FindMatches(pattern, target, opts));
   };
   // Warm up caches and the registry's per-site statics.
@@ -204,8 +205,9 @@ double MeasureObsOverheadPct(gvex::obs::PerfReport* report) {
 //
 // Each probe interleaves A/B rounds of the optimized and the reference
 // implementation of one hot kernel and records
-// `<kernel>_speedup_vs_reference` (reference seconds / optimized seconds)
-// in the PerfReport params. Interleaving cancels host drift, mirroring
+// `<kernel>_speedup_vs_reference` (reference seconds / optimized seconds;
+// `gcn_infer_speedup_vs_forward` compares Infer with Forward) in the
+// PerfReport params. Interleaving cancels host drift, mirroring
 // the obs-overhead probe above. The cached-Psum probe runs against
 // MatchCache::Global() and the VF2 probe against the instrumented
 // matcher, so the registry snapshot embedded in the JSON report carries
@@ -233,13 +235,21 @@ std::pair<double, double> AbRounds(int rounds,
   return {opt_seconds, ref_seconds};
 }
 
-double RecordSpeedup(gvex::obs::PerfReport* report, const char* kernel,
+double RecordSpeedup(gvex::obs::PerfReport* report, const char* param,
                      double opt_seconds, double ref_seconds) {
   const double speedup = opt_seconds > 0.0 ? ref_seconds / opt_seconds : 0.0;
-  std::printf("%s: reference %.4fs vs optimized %.4fs -> %.2fx\n", kernel,
+  std::printf("%s: reference %.4fs vs optimized %.4fs -> %.2fx\n", param,
               ref_seconds, opt_seconds, speedup);
-  report->SetParam(std::string(kernel) + "_speedup_vs_reference", speedup);
+  report->SetParam(param, speedup);
   return speedup;
+}
+
+Matrix GaussianMatrix(size_t rows, size_t cols, Rng* rng) {
+  Matrix m(rows, cols);
+  for (size_t i = 0; i < m.size(); ++i) {
+    m.data()[i] = static_cast<float>(rng->NextGaussian());
+  }
+  return m;
 }
 
 // A labeled graph with enough distinct node types that label-bucket root
@@ -296,7 +306,9 @@ double MeasureKernelSpeedups(gvex::obs::PerfReport* report) {
           benchmark::DoNotOptimize(
               Vf2ReferenceMatcher::FindMatches(pattern, target, opts));
         });
-    best = std::max(best, RecordSpeedup(report, "vf2_indexed", opt_s, ref_s));
+    best = std::max(best, RecordSpeedup(report,
+                                        "vf2_indexed_speedup_vs_reference",
+                                        opt_s, ref_s));
   }
 
   // --- warm MatchCache coverage vs recomputing (the Psum inner loop) ------
@@ -338,24 +350,67 @@ double MeasureKernelSpeedups(gvex::obs::PerfReport* report) {
             }
           }
         });
-    best = std::max(best, RecordSpeedup(report, "psum_cached", opt_s, ref_s));
+    best = std::max(best, RecordSpeedup(report,
+                                        "psum_cached_speedup_vs_reference",
+                                        opt_s, ref_s));
   }
 
-  // --- blocked/unrolled GEMM vs the naive reference kernel ----------------
+  // --- register-blocked GEMM vs the naive reference kernel ----------------
+  //
+  // 96x512x256 crosses the parallel threshold; 32x32 · 32x32 is the GCN
+  // hidden layer's product on a ~32-node graph, the shape EVerify runs.
   {
     Rng rng(33);
-    Matrix a(96, 512);
-    Matrix b(512, 256);
-    for (size_t i = 0; i < a.size(); ++i) {
-      a.data()[i] = static_cast<float>(rng.NextGaussian());
-    }
-    for (size_t i = 0; i < b.size(); ++i) {
-      b.data()[i] = static_cast<float>(rng.NextGaussian());
-    }
+    Matrix a = GaussianMatrix(96, 512, &rng);
+    Matrix b = GaussianMatrix(512, 256, &rng);
     auto [opt_s, ref_s] = AbRounds(
         12, [&] { benchmark::DoNotOptimize(MatMul(a, b)); },
         [&] { benchmark::DoNotOptimize(MatMulReference(a, b)); });
-    best = std::max(best, RecordSpeedup(report, "gemm_blocked", opt_s, ref_s));
+    best = std::max(best, RecordSpeedup(report,
+                                        "gemm_blocked_speedup_vs_reference",
+                                        opt_s, ref_s));
+  }
+  {
+    Rng rng(34);
+    Matrix a = GaussianMatrix(32, 32, &rng);
+    Matrix b = GaussianMatrix(32, 32, &rng);
+    constexpr int kReps = 2000;
+    auto [opt_s, ref_s] = AbRounds(
+        12,
+        [&] {
+          for (int i = 0; i < kReps; ++i) {
+            benchmark::DoNotOptimize(MatMul(a, b));
+          }
+        },
+        [&] {
+          for (int i = 0; i < kReps; ++i) {
+            benchmark::DoNotOptimize(MatMulReference(a, b));
+          }
+        });
+    best = std::max(best,
+                    RecordSpeedup(report,
+                                  "gemm_gcn_hidden_speedup_vs_reference",
+                                  opt_s, ref_s));
+  }
+
+  // --- trace-free inference vs the traced forward --------------------------
+  {
+    Graph g = MakeBenchGraph(32, 35);
+    GcnClassifier model = MakeBenchModel(/*hidden_dim=*/32);
+    constexpr int kReps = 500;
+    auto [opt_s, ref_s] = AbRounds(
+        12,
+        [&] {
+          for (int i = 0; i < kReps; ++i) {
+            benchmark::DoNotOptimize(model.Infer(g));
+          }
+        },
+        [&] {
+          for (int i = 0; i < kReps; ++i) {
+            benchmark::DoNotOptimize(model.Forward(g));
+          }
+        });
+    RecordSpeedup(report, "gcn_infer_speedup_vs_forward", opt_s, ref_s);
   }
 
   return best;

@@ -17,20 +17,30 @@ void GcnGradients::Scale(float s) {
   ScaleInPlace(&fc_bias, s);
 }
 
-void GcnGradients::Accumulate(const GcnGradients& other) {
-  for (size_t i = 0; i < conv_weights.size(); ++i) {
-    AddInPlace(&conv_weights[i], other.conv_weights[i]);
-    AddInPlace(&conv_biases[i], other.conv_biases[i]);
-  }
-  AddInPlace(&fc_weight, other.fc_weight);
-  AddInPlace(&fc_bias, other.fc_bias);
-}
+namespace {
 
-ClassLabel GcnTrace::predicted() const {
+// argmax of the logits, the first index on ties.
+ClassLabel ArgMax(const std::vector<float>& logits) {
   if (logits.empty()) return GcnClassifier::kNoLabel;
   return static_cast<ClassLabel>(
       std::max_element(logits.begin(), logits.end()) - logits.begin());
 }
+
+// Infer's per-thread buffers. The activations ping-pong between x[0] and
+// x[1], so a thread allocates only for a graph larger than any before.
+struct InferScratch {
+  Matrix agg;
+  Matrix x[2];
+  std::vector<float> pooled;
+  std::vector<size_t> argmax;
+  std::vector<float> logits;
+};
+
+thread_local InferScratch tls_infer_scratch;
+
+}  // namespace
+
+ClassLabel GcnTrace::predicted() const { return ArgMax(logits); }
 
 Result<GcnClassifier> GcnClassifier::Create(const GcnConfig& config) {
   if (config.input_dim == 0 || config.hidden_dim == 0 ||
@@ -59,11 +69,42 @@ Result<GcnClassifier> GcnClassifier::Create(const GcnConfig& config) {
 GcnTrace GcnClassifier::Forward(const Graph& g) const {
   if (g.num_nodes() == 0) return GcnTrace{};
   assert(g.has_features() && g.feature_dim() == config_.input_dim);
-  const std::vector<float>* weights =
-      config_.edge_type_weights.empty() ? nullptr
-                                        : &config_.edge_type_weights;
   return ForwardWithPropagation(
-      g.features(), g.PropagationOperator(config_.propagation, weights));
+      g.features(),
+      g.PropagationOperator(config_.propagation, config_.EdgeTypeWeights()));
+}
+
+void GcnClassifier::Layer(const CsrMatrix& s, const Matrix& x, size_t i,
+                          bool relu, Matrix* agg, Matrix* out) const {
+  // out = ReLU?(S * X * W + b)
+  s.MultiplyDense(x, agg);
+  MatMulBias(*agg, conv_weights_[i], conv_biases_[i].Row(0), relu, out);
+}
+
+void GcnClassifier::Readout(const Matrix& x, std::vector<float>* pooled,
+                            std::vector<size_t>* argmax,
+                            std::vector<float>* logits,
+                            std::vector<float>* probs) const {
+  ColumnMax(x, pooled, argmax);
+
+  logits->assign(config_.num_classes, 0.0f);
+  for (size_t c = 0; c < config_.num_classes; ++c) {
+    float acc = fc_bias_.At(0, c);
+    for (size_t h = 0; h < config_.hidden_dim; ++h) {
+      acc += (*pooled)[h] * fc_weight_.At(h, c);
+    }
+    (*logits)[c] = acc;
+  }
+
+  // Stable softmax.
+  float mx = *std::max_element(logits->begin(), logits->end());
+  probs->resize(config_.num_classes);
+  float sum = 0.0f;
+  for (size_t c = 0; c < config_.num_classes; ++c) {
+    (*probs)[c] = std::exp((*logits)[c] - mx);
+    sum += (*probs)[c];
+  }
+  for (auto& p : *probs) p /= sum;
 }
 
 GcnTrace GcnClassifier::ForwardWithPropagation(const Matrix& x0,
@@ -76,59 +117,50 @@ GcnTrace GcnClassifier::ForwardWithPropagation(const Matrix& x0,
   trace.s = s;
   trace.x.push_back(x0);
   trace.pre.reserve(config_.num_layers);
+  Matrix agg;
   for (size_t i = 0; i < config_.num_layers; ++i) {
-    // pre = S * X * W + b ; X' = ReLU(pre)
-    Matrix agg = s.MultiplyDense(trace.x.back());
-    Matrix pre = MatMul(agg, conv_weights_[i]);
-    AddRowBias(&pre, conv_biases_[i].Row(0));
+    Matrix pre;
+    Layer(s, trace.x.back(), i, /*relu=*/false, &agg, &pre);
     trace.x.push_back(Relu(pre));
     trace.pre.push_back(std::move(pre));
   }
-  ColumnMax(trace.x.back(), &trace.pooled, &trace.argmax);
-
-  trace.logits.assign(config_.num_classes, 0.0f);
-  for (size_t c = 0; c < config_.num_classes; ++c) {
-    float acc = fc_bias_.At(0, c);
-    for (size_t h = 0; h < config_.hidden_dim; ++h) {
-      acc += trace.pooled[h] * fc_weight_.At(h, c);
-    }
-    trace.logits[c] = acc;
-  }
-
-  // Stable softmax.
-  float mx = *std::max_element(trace.logits.begin(), trace.logits.end());
-  trace.probs.resize(config_.num_classes);
-  float sum = 0.0f;
-  for (size_t c = 0; c < config_.num_classes; ++c) {
-    trace.probs[c] = std::exp(trace.logits[c] - mx);
-    sum += trace.probs[c];
-  }
-  for (auto& p : trace.probs) p /= sum;
+  Readout(trace.x.back(), &trace.pooled, &trace.argmax, &trace.logits,
+          &trace.probs);
   return trace;
 }
 
-std::vector<float> GcnClassifier::PredictProba(const Graph& g) const {
-  GcnTrace t = Forward(g);
-  return t.probs;
+GcnPrediction GcnClassifier::Infer(const Graph& g) const {
+  if (g.num_nodes() == 0) return GcnPrediction{};
+  assert(g.has_features() && g.feature_dim() == config_.input_dim);
+  return Infer(g.features(), g.PropagationOperator(
+                                 config_.propagation,
+                                 config_.EdgeTypeWeights()));
 }
 
-ClassLabel GcnClassifier::Predict(const Graph& g) const {
-  return Forward(g).predicted();
+GcnPrediction GcnClassifier::Infer(const Matrix& x0,
+                                   const CsrMatrix& s) const {
+  GcnPrediction out;
+  if (x0.rows() == 0) return out;
+  assert(x0.rows() == s.n());
+  GVEX_COUNTER_INC("gnn.forward_calls");
+  GVEX_LATENCY_US("gnn.forward_us");
+  InferScratch& t = tls_infer_scratch;
+  const Matrix* x = &x0;
+  for (size_t i = 0; i < config_.num_layers; ++i) {
+    Matrix* next = &t.x[i % 2];
+    Layer(s, *x, i, /*relu=*/true, &t.agg, next);
+    x = next;
+  }
+  Readout(*x, &t.pooled, &t.argmax, &t.logits, &out.probs);
+  out.predicted = ArgMax(t.logits);
+  return out;
 }
 
 float GcnClassifier::ProbabilityOf(const Graph& g, ClassLabel label) const {
   if (label < 0) return 0.0f;
-  GcnTrace t = Forward(g);
-  if (t.probs.empty() || static_cast<size_t>(label) >= t.probs.size()) {
-    return 0.0f;
-  }
-  return t.probs[static_cast<size_t>(label)];
-}
-
-Matrix GcnClassifier::NodeEmbeddings(const Graph& g) const {
-  GcnTrace t = Forward(g);
-  if (t.x.empty()) return Matrix();
-  return t.x.back();
+  GcnPrediction p = Infer(g);
+  if (static_cast<size_t>(label) >= p.probs.size()) return 0.0f;
+  return p.probs[static_cast<size_t>(label)];
 }
 
 namespace {
@@ -235,14 +267,6 @@ Matrix GcnClassifier::InputLogitGradient(const GcnTrace& trace,
   assert(!trace.logits.empty());
   std::vector<float> dlogits(config_.num_classes, 0.0f);
   dlogits[static_cast<size_t>(y)] = 1.0f;
-  return BackpropLogitsToInput(trace, dlogits);
-}
-
-Matrix GcnClassifier::InputGradient(const GcnTrace& trace,
-                                    ClassLabel y) const {
-  assert(!trace.logits.empty());
-  std::vector<float> dlogits;
-  CrossEntropyGrad(trace.probs, y, &dlogits);
   return BackpropLogitsToInput(trace, dlogits);
 }
 

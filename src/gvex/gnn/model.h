@@ -33,6 +33,12 @@ struct GcnConfig {
   /// evaluation model, the SAGE-mean and GIN-sum flavors exercise the
   /// model-agnostic claim.
   Graph::PropagationKind propagation = Graph::PropagationKind::kGcnSymmetric;
+
+  /// edge_type_weights in the form the propagation builders take: null
+  /// when empty.
+  const std::vector<float>* EdgeTypeWeights() const {
+    return edge_type_weights.empty() ? nullptr : &edge_type_weights;
+  }
 };
 
 /// \brief Parameter gradients, shape-matched to the model parameters.
@@ -43,7 +49,6 @@ struct GcnGradients {
   Matrix fc_bias;                    // 1 x classes
 
   void Scale(float s);
-  void Accumulate(const GcnGradients& other);
 };
 
 /// \brief Everything the forward pass computed, retained for backprop and
@@ -58,6 +63,13 @@ struct GcnTrace {
   std::vector<float> probs;    // softmax(logits)
 
   ClassLabel predicted() const;
+};
+
+/// \brief What inference returns: the label and the class probabilities,
+/// without the trace.
+struct GcnPrediction {
+  ClassLabel predicted = -1;  ///< GcnClassifier::kNoLabel for empty graphs
+  std::vector<float> probs;   ///< softmax(logits); empty for empty graphs
 };
 
 /// \brief The GNN-based classifier M. Immutable architecture; parameters
@@ -81,19 +93,25 @@ class GcnClassifier {
   /// (the hook GNNExplainer uses to inject a masked adjacency).
   GcnTrace ForwardWithPropagation(const Matrix& x0, const CsrMatrix& s) const;
 
+  /// The inference forward: the same layers and readout as Forward, and
+  /// the same bits, but it keeps no trace. Activations live in per-thread
+  /// scratch buffers, and the bias add and ReLU run in the GEMM's store.
+  /// Empty graphs yield {kNoLabel, {}}. Counts as a forward in the
+  /// gnn.forward_calls / gnn.forward_us metrics.
+  GcnPrediction Infer(const Graph& g) const;
+  GcnPrediction Infer(const Matrix& x0, const CsrMatrix& s) const;
+
   /// Class probabilities; uniform is never returned for empty graphs —
   /// callers must treat kNoLabel specially.
-  std::vector<float> PredictProba(const Graph& g) const;
+  std::vector<float> PredictProba(const Graph& g) const {
+    return Infer(g).probs;
+  }
 
   /// argmax label, or kNoLabel for empty graphs.
-  ClassLabel Predict(const Graph& g) const;
+  ClassLabel Predict(const Graph& g) const { return Infer(g).predicted; }
 
   /// Probability assigned to `label` (0 for empty graphs).
   float ProbabilityOf(const Graph& g, ClassLabel label) const;
-
-  /// Final-layer node embeddings X^k (the representation behind the
-  /// diversity measure, Eq. 6).
-  Matrix NodeEmbeddings(const Graph& g) const;
 
   // ---- training ------------------------------------------------------------
 
@@ -109,15 +127,10 @@ class GcnClassifier {
   float BackwardToPropagation(const GcnTrace& trace, ClassLabel y,
                               std::vector<float>* ds) const;
 
-  /// Gradient of the loss for class `y` w.r.t. the input features
-  /// (n x input_dim). Row L1 norms are the classic gradient-saliency
-  /// signal: how much each node's features drive the prediction. Note the
-  /// loss gradient saturates on confident models; prefer
-  /// InputLogitGradient for saliency ranking.
-  Matrix InputGradient(const GcnTrace& trace, ClassLabel y) const;
-
-  /// Gradient of the raw class-y logit w.r.t. the input features — does
-  /// not saturate when softmax probabilities reach 0/1.
+  /// Gradient of the raw class-y logit w.r.t. the input features (n x
+  /// input_dim). Row L1 norms are the gradient-saliency signal: how much
+  /// each node's features drive the prediction. Unlike the loss gradient,
+  /// it does not saturate when softmax probabilities reach 0/1.
   Matrix InputLogitGradient(const GcnTrace& trace, ClassLabel y) const;
 
   GcnGradients ZeroGradients() const;
@@ -134,6 +147,17 @@ class GcnClassifier {
   GcnClassifier() = default;
 
  private:
+  // One GCN layer (Eq. 1): *agg = S x, then *out = agg W_i + b_i, with
+  // the ReLU applied in the store when `relu`. Forward keeps the
+  // pre-activation (relu = false) and Infer does not.
+  void Layer(const CsrMatrix& s, const Matrix& x, size_t i, bool relu,
+             Matrix* agg, Matrix* out) const;
+
+  // The readout: max-pool over nodes, the FC head, then softmax.
+  void Readout(const Matrix& x, std::vector<float>* pooled,
+               std::vector<size_t>* argmax, std::vector<float>* logits,
+               std::vector<float>* probs) const;
+
   Matrix BackpropLogitsToInput(const GcnTrace& trace,
                                const std::vector<float>& dlogits) const;
 

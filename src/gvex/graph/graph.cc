@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <numeric>
 #include <queue>
 
 #include "gvex/common/string_util.h"
@@ -224,12 +225,22 @@ CsrMatrix Graph::NormalizedPropagation(
 
 CsrMatrix Graph::PropagationOperator(
     PropagationKind kind, const std::vector<float>* edge_type_weights) const {
-  const size_t n = num_nodes();
-  std::vector<size_t> rows, cols;
-  std::vector<float> vals;
-  rows.reserve(2 * num_edges_ + n);
-  cols.reserve(2 * num_edges_ + n);
-  vals.reserve(2 * num_edges_ + n);
+  std::vector<NodeId> all(num_nodes());
+  std::iota(all.begin(), all.end(), NodeId{0});
+  return InducedPropagation(all, kind, edge_type_weights);
+}
+
+CsrMatrix Graph::InducedPropagation(
+    std::span<const NodeId> order, PropagationKind kind,
+    const std::vector<float>* edge_type_weights, Matrix* features) const {
+  const size_t n = order.size();
+  // local[v]: v's id in the subgraph, or kInvalidNode when v is left out.
+  std::vector<NodeId> local(num_nodes(), kInvalidNode);
+  for (size_t k = 0; k < n; ++k) {
+    assert(order[k] < num_nodes());
+    assert(local[order[k]] == kInvalidNode && "duplicate node in order");
+    local[order[k]] = static_cast<NodeId>(k);
+  }
 
   auto type_weight = [&](EdgeType t) -> float {
     if (edge_type_weights == nullptr || t < 0 ||
@@ -241,21 +252,27 @@ CsrMatrix Graph::PropagationOperator(
 
   // Â = A + I (entries scaled by edge-type weight), symmetrized for
   // directed inputs. Degrees use the weighted entries so the operator
-  // stays properly normalized.
+  // stays properly normalized. The edges are visited in the order
+  // InducedSubgraph(order) stores them — subgraph node u's edges to
+  // later nodes (all of them when directed) in this graph's adjacency
+  // order — so the float degree sums round the same way for any weights.
   std::vector<float> deg(n, 1.0f);  // self-loop contributes 1
   struct SymEdge {
     size_t u, v;
     float w;
   };
   std::vector<SymEdge> sym_edges;
-  for (NodeId u = 0; u < n; ++u) {
-    for (const auto& nb : adj_[u]) {
-      if (directed_ || u < nb.node) {
-        float w = type_weight(nb.edge_type);
-        sym_edges.push_back({u, nb.node, w});
-        deg[u] += w;
-        deg[nb.node] += w;
-      }
+  size_t max_edges = 0;
+  for (NodeId v : order) max_edges += adj_[v].size();
+  sym_edges.reserve(max_edges);
+  for (size_t u = 0; u < n; ++u) {
+    for (const auto& nb : adj_[order[u]]) {
+      const NodeId v = local[nb.node];
+      if (v == kInvalidNode || (!directed_ && v < u)) continue;
+      const float w = type_weight(nb.edge_type);
+      sym_edges.push_back({u, v, w});
+      deg[u] += w;
+      deg[v] += w;
     }
   }
   std::vector<float> inv_sqrt(n);
@@ -274,6 +291,11 @@ CsrMatrix Graph::PropagationOperator(
     return w;
   };
 
+  std::vector<size_t> rows, cols;
+  std::vector<float> vals;
+  rows.reserve(2 * sym_edges.size() + n);
+  cols.reserve(2 * sym_edges.size() + n);
+  vals.reserve(2 * sym_edges.size() + n);
   for (size_t i = 0; i < n; ++i) {
     rows.push_back(i);
     cols.push_back(i);
@@ -286,6 +308,19 @@ CsrMatrix Graph::PropagationOperator(
     rows.push_back(e.v);
     cols.push_back(e.u);
     vals.push_back(scale(e.v, e.u, e.w));
+  }
+
+  if (features != nullptr) {
+    if (has_features()) {
+      features->Reset(n, feature_dim());
+      for (size_t k = 0; k < n; ++k) {
+        std::copy(features_.RowPtr(order[k]),
+                  features_.RowPtr(order[k]) + feature_dim(),
+                  features->RowPtr(k));
+      }
+    } else {
+      *features = Matrix();
+    }
   }
   return CsrMatrix::FromTriplets(n, rows, cols, vals);
 }

@@ -128,10 +128,24 @@ class Graph {
   CsrMatrix NormalizedPropagation(
       const std::vector<float>* edge_type_weights = nullptr) const;
 
-  /// Propagation operator of the requested kind (see PropagationKind).
+  /// Propagation operator of the requested kind (see PropagationKind):
+  /// InducedPropagation over all nodes in id order.
   CsrMatrix PropagationOperator(
       PropagationKind kind,
       const std::vector<float>* edge_type_weights = nullptr) const;
+
+  /// Propagation operator of the subgraph induced by `order` (node k of
+  /// the subgraph is order[k]; duplicate-free), built straight from this
+  /// graph's adjacency without materializing the subgraph. `features`
+  /// (optional) receives the subgraph's feature rows, or an empty matrix
+  /// when this graph has none. Equal, bit for bit, to
+  /// InducedSubgraph(order).PropagationOperator(kind, edge_type_weights)
+  /// and that subgraph's features(): EVerify's two operators per
+  /// candidate come from here.
+  CsrMatrix InducedPropagation(std::span<const NodeId> order,
+                               PropagationKind kind,
+                               const std::vector<float>* edge_type_weights,
+                               Matrix* features = nullptr) const;
 
   /// Multiset signature for cheap inequality screening: (n, m, sorted type
   /// histogram hash). Equal graphs always agree; unequal graphs usually

@@ -14,10 +14,10 @@ FidelityReport EvaluateFidelity(
   for (const GraphExplanation& ex : explanations) {
     if (ex.nodes.empty()) continue;
     const Graph& g = db.graph(ex.graph_index);
-    GcnTrace trace = model.Forward(g);
-    ClassLabel l = trace.predicted();
+    GcnPrediction pred = model.Infer(g);
+    ClassLabel l = pred.predicted;
     if (l < 0) continue;
-    float p_orig = trace.probs[static_cast<size_t>(l)];
+    float p_orig = pred.probs[static_cast<size_t>(l)];
 
     Graph sub = g.InducedSubgraph(ex.nodes);
     float p_sub = model.ProbabilityOf(sub, l);

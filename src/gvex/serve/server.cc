@@ -579,8 +579,9 @@ Response ExplanationServer::Execute(const Request& req,
               "graph features missing or wrong dimension (model wants " +
               std::to_string(snap->model->config().input_dim) + ")"));
     }
-    resp.predicted = snap->model->Predict(req.graph);
-    resp.probabilities = snap->model->PredictProba(req.graph);
+    GcnPrediction prediction = snap->model->Infer(req.graph);
+    resp.predicted = prediction.predicted;
+    resp.probabilities = std::move(prediction.probs);
     if (const ExplanationView* view = snap->ForLabel(resp.predicted)) {
       for (size_t i = 0; i < view->patterns.size(); ++i) {
         if (cancel != nullptr && cancel->cancelled()) break;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <numeric>
 
 namespace gvex {
 
@@ -10,55 +9,48 @@ CsrMatrix CsrMatrix::FromTriplets(size_t n, const std::vector<size_t>& rows,
                                   const std::vector<size_t>& cols,
                                   const std::vector<float>& values) {
   assert(rows.size() == cols.size() && cols.size() == values.size());
+  // Count entries per row, then prefix-sum into per-row fill cursors.
+  std::vector<size_t> cursor(n + 1, 0);
+  for (size_t r : rows) {
+    assert(r < n);
+    ++cursor[r + 1];
+  }
+  for (size_t i = 0; i < n; ++i) cursor[i + 1] += cursor[i];
+
+  // Fill: slot holds the input index of each entry, bucketed by row in
+  // input order.
+  std::vector<size_t> slot(rows.size());
+  for (size_t k = 0; k < rows.size(); ++k) slot[cursor[rows[k]]++] = k;
+
+  // Sort each row by column. Ties keep input order, so duplicate (row,
+  // col) entries are summed in input order; a hub row costs
+  // O(d log d), not O(d^2).
   CsrMatrix m;
   m.n_ = n;
   m.row_ptr_.assign(n + 1, 0);
-
-  // Count entries per row, then prefix-sum into row_ptr.
-  for (size_t r : rows) {
-    assert(r < n);
-    m.row_ptr_[r + 1]++;
-  }
-  for (size_t i = 0; i < n; ++i) m.row_ptr_[i + 1] += m.row_ptr_[i];
-
-  std::vector<size_t> cursor(m.row_ptr_.begin(), m.row_ptr_.end() - 1);
-  m.col_idx_.resize(rows.size());
-  m.values_.resize(rows.size());
-  for (size_t k = 0; k < rows.size(); ++k) {
-    size_t pos = cursor[rows[k]]++;
-    m.col_idx_[pos] = cols[k];
-    m.values_[pos] = values[k];
-  }
-
-  // Sort each row by column and merge duplicate entries.
-  std::vector<size_t> perm;
-  std::vector<size_t> new_row_ptr(n + 1, 0);
-  std::vector<size_t> new_cols;
-  std::vector<float> new_vals;
-  new_cols.reserve(m.col_idx_.size());
-  new_vals.reserve(m.values_.size());
+  m.col_idx_.reserve(rows.size());
+  m.values_.reserve(rows.size());
+  size_t begin = 0;
   for (size_t r = 0; r < n; ++r) {
-    size_t begin = m.row_ptr_[r];
-    size_t end = m.row_ptr_[r + 1];
-    perm.resize(end - begin);
-    std::iota(perm.begin(), perm.end(), begin);
-    std::sort(perm.begin(), perm.end(), [&](size_t a, size_t b) {
-      return m.col_idx_[a] < m.col_idx_[b];
-    });
-    size_t row_start = new_cols.size();
-    for (size_t idx : perm) {
-      if (new_cols.size() > row_start && new_cols.back() == m.col_idx_[idx]) {
-        new_vals.back() += m.values_[idx];
+    const size_t end = cursor[r];  // advanced to the row's end by the fill
+    std::sort(slot.begin() + static_cast<ptrdiff_t>(begin),
+              slot.begin() + static_cast<ptrdiff_t>(end),
+              [&](size_t a, size_t b) {
+                return cols[a] < cols[b] || (cols[a] == cols[b] && a < b);
+              });
+    const size_t row_start = m.col_idx_.size();
+    for (size_t i = begin; i < end; ++i) {
+      const size_t k = slot[i];
+      if (m.col_idx_.size() > row_start && m.col_idx_.back() == cols[k]) {
+        m.values_.back() += values[k];
       } else {
-        new_cols.push_back(m.col_idx_[idx]);
-        new_vals.push_back(m.values_[idx]);
+        m.col_idx_.push_back(cols[k]);
+        m.values_.push_back(values[k]);
       }
     }
-    new_row_ptr[r + 1] = new_cols.size();
+    m.row_ptr_[r + 1] = m.col_idx_.size();
+    begin = end;
   }
-  m.row_ptr_ = std::move(new_row_ptr);
-  m.col_idx_ = std::move(new_cols);
-  m.values_ = std::move(new_vals);
   return m;
 }
 
@@ -76,18 +68,23 @@ std::vector<float> CsrMatrix::MultiplyVector(const std::vector<float>& x) const 
 }
 
 Matrix CsrMatrix::MultiplyDense(const Matrix& x) const {
+  Matrix y;
+  MultiplyDense(x, &y);
+  return y;
+}
+
+void CsrMatrix::MultiplyDense(const Matrix& x, Matrix* y) const {
   assert(x.rows() == n_);
-  Matrix y(n_, x.cols());
+  y->Reset(n_, x.cols());
   const size_t d = x.cols();
   for (size_t r = 0; r < n_; ++r) {
-    float* yr = y.RowPtr(r);
+    float* yr = y->RowPtr(r);
     for (size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
       const float v = values_[k];
       const float* xr = x.RowPtr(col_idx_[k]);
       for (size_t c = 0; c < d; ++c) yr[c] += v * xr[c];
     }
   }
-  return y;
 }
 
 Matrix CsrMatrix::TransposeMultiplyDense(const Matrix& x) const {

@@ -18,7 +18,8 @@ class CsrMatrix {
  public:
   CsrMatrix() = default;
 
-  /// Build from COO triplets; duplicate (row, col) entries are summed.
+  /// Build from COO triplets: count per row, fill, then sort each row by
+  /// column. Duplicate (row, col) entries are summed in input order.
   static CsrMatrix FromTriplets(size_t n,
                                 const std::vector<size_t>& rows,
                                 const std::vector<size_t>& cols,
@@ -37,6 +38,9 @@ class CsrMatrix {
 
   /// Y = this * X for a dense matrix X (n x d) -> (n x d).
   Matrix MultiplyDense(const Matrix& x) const;
+  /// As above, into *y, reusing its allocation (the inference forward's
+  /// scratch).
+  void MultiplyDense(const Matrix& x, Matrix* y) const;
 
   /// Y^T = X^T * this, i.e. Y = this^T * X, without materializing the
   /// transpose (needed by GCN backprop; S is symmetric for undirected

@@ -26,6 +26,12 @@ void Matrix::Fill(float v) {
   for (auto& x : data_) x = v;
 }
 
+void Matrix::Reset(size_t rows, size_t cols) {
+  rows_ = rows;
+  cols_ = cols;
+  data_.assign(rows * cols, 0.0f);
+}
+
 void Matrix::SetRow(size_t r, const std::vector<float>& values) {
   assert(values.size() == cols_);
   std::copy(values.begin(), values.end(), RowPtr(r));

@@ -21,7 +21,6 @@ class Matrix {
   Matrix(size_t rows, size_t cols, float fill = 0.0f)
       : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
 
-  static Matrix Zeros(size_t rows, size_t cols) { return Matrix(rows, cols); }
   static Matrix Identity(size_t n);
 
   /// Glorot/Xavier-uniform initialization, the PyG default for GCNConv.
@@ -51,6 +50,10 @@ class Matrix {
   void Fill(float v);
   void SetRow(size_t r, const std::vector<float>& values);
   std::vector<float> GetRow(size_t r) const;
+
+  /// Reshape to rows x cols, all zeros, reusing the allocation when it is
+  /// large enough (scratch buffers reused across calls on hot paths).
+  void Reset(size_t rows, size_t cols);
 
   /// Sum of |a_ij| over a row (L1 norm of the row).
   float RowL1Norm(size_t r) const;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "gvex/common/thread_pool.h"
@@ -10,9 +11,6 @@
 namespace gvex {
 namespace {
 
-// k-panel height: a 64-row panel of B (64 * n floats) stays resident in
-// L1/L2 while every C row in the block accumulates against it.
-constexpr size_t kBlockK = 64;
 // Rows handed to one pool task in the parallel path.
 constexpr size_t kRowBlock = 32;
 // Below ~8M flops the fork/join overhead beats the parallel win.
@@ -33,122 +31,131 @@ void ForRowBlocks(size_t m, size_t flops, const Body& body) {
   });
 }
 
-// The av == 0.0f skips below are load-bearing for bit-identity with the
-// reference kernels, not just a speed hack: 0 * inf and 0 * NaN are NaN,
-// so dropping the skip would change outputs on non-finite inputs.
+// Four floats in one SSE register (GCC vector extension). Lane-wise
+// `+` and `*` round exactly like the scalar operators, and the default
+// x86-64 target has no FMA instruction to contract `c += a * b` into, so
+// a vector lane computes the same bits as the scalar loop it replaces.
+using Vec4 = float __attribute__((vector_size(16)));
 
-void MatMulRows(const Matrix& a, const Matrix& b, Matrix* c, size_t i0,
-                size_t i1) {
-  const size_t k = a.cols(), n = b.cols();
-  for (size_t p0 = 0; p0 < k; p0 += kBlockK) {
-    const size_t p1 = std::min(k, p0 + kBlockK);
+template <typename V>
+V LoadLanes(const float* p) {
+  V v;
+  std::memcpy(&v, p, sizeof(V));
+  return v;
+}
+
+template <typename V>
+void StoreLanes(float* p, V v) {
+  std::memcpy(p, &v, sizeof(V));
+}
+
+// One GEMM, C = ReLU?(A · B + bias): A(i, p) sits at
+// a[i * a_row + p * a_step] (row i of A, or column i of A for A^T), and
+// B is k x n with row stride ldb.
+struct Gemm {
+  const float* a;
+  size_t a_row, a_step, k;
+  const float* b;
+  size_t ldb, n;
+  const float* bias;  // n floats, or null
+  bool relu;
+  float* c;  // row stride n
+};
+
+// The kernel body: C columns [j, j + width) of rows [i0, i1), each row's
+// columns in kBlocks registers of type V (16 columns as four Vec4, or a
+// Vec4 or a float for the tails) for the whole k loop. Rows run inside
+// a column block, so the block's k x width panel of B stays in L1 from
+// row to row. Each C(i, j) sums A(i, p) * B(p, j) over ascending p
+// starting from 0.0f — the reference order — and the bias add and ReLU
+// happen in the store, as AddRowBias and Relu would do them afterwards.
+// kSkipZeros drops the terms whose A value is 0, as MatMulReference
+// does; the skip is load-bearing, not a speed hack: 0 * inf and 0 * NaN
+// are NaN, so dropping it would change outputs on non-finite inputs.
+template <bool kSkipZeros, typename V, size_t kBlocks>
+size_t GemmColumns(const Gemm& g, size_t i0, size_t i1, size_t j) {
+  constexpr size_t kLanes = sizeof(V) / sizeof(float);
+  constexpr size_t kWidth = kLanes * kBlocks;
+  for (; j + kWidth <= g.n; j += kWidth) {
     for (size_t i = i0; i < i1; ++i) {
-      const float* ar = a.RowPtr(i);
-      float* cr = c->RowPtr(i);
-      // Ascending p within the panel and ascending panels: each C(i, j)
-      // accumulates over p in exactly the reference order.
-      for (size_t p = p0; p < p1; ++p) {
-        const float av = ar[p];
-        if (av == 0.0f) continue;
-        const float* br = b.RowPtr(p);
-        size_t j = 0;
-        for (; j + 4 <= n; j += 4) {
-          cr[j] += av * br[j];
-          cr[j + 1] += av * br[j + 1];
-          cr[j + 2] += av * br[j + 2];
-          cr[j + 3] += av * br[j + 3];
+      const float* a = g.a + i * g.a_row;
+      const float* b = g.b + j;
+      V acc[kBlocks] = {};
+      for (size_t p = 0; p < g.k; ++p, b += g.ldb) {
+        const float av = a[p * g.a_step];
+        if (kSkipZeros && av == 0.0f) continue;
+#pragma GCC unroll 4
+        for (size_t r = 0; r < kBlocks; ++r) {
+          acc[r] += av * LoadLanes<V>(b + r * kLanes);
         }
-        for (; j < n; ++j) cr[j] += av * br[j];
+      }
+      float* c = g.c + i * g.n + j;
+#pragma GCC unroll 4
+      for (size_t r = 0; r < kBlocks; ++r) {
+        V out = acc[r];
+        if (g.bias != nullptr) out += LoadLanes<V>(g.bias + j + r * kLanes);
+        if (g.relu) out = out < V{} ? V{} : out;
+        StoreLanes(c + r * kLanes, out);
       }
     }
   }
+  return j;
 }
 
-void MatMulTransARows(const Matrix& a, const Matrix& b, Matrix* c, size_t i0,
-                      size_t i1) {
-  const size_t k = a.rows(), n = b.cols();
-  for (size_t p = 0; p < k; ++p) {
-    const float* ar = a.RowPtr(p);
-    const float* br = b.RowPtr(p);
-    for (size_t i = i0; i < i1; ++i) {
-      const float av = ar[i];
-      if (av == 0.0f) continue;
-      float* cr = c->RowPtr(i);
-      size_t j = 0;
-      for (; j + 4 <= n; j += 4) {
-        cr[j] += av * br[j];
-        cr[j + 1] += av * br[j + 1];
-        cr[j + 2] += av * br[j + 2];
-        cr[j + 3] += av * br[j + 3];
-      }
-      for (; j < n; ++j) cr[j] += av * br[j];
-    }
-  }
+template <bool kSkipZeros>
+void GemmRows(const Gemm& g, size_t i0, size_t i1) {
+  size_t j = GemmColumns<kSkipZeros, Vec4, 4>(g, i0, i1, 0);
+  j = GemmColumns<kSkipZeros, Vec4, 1>(g, i0, i1, j);
+  GemmColumns<kSkipZeros, float, 1>(g, i0, i1, j);
 }
 
-void MatMulTransBRows(const Matrix& a, const Matrix& b, Matrix* c, size_t i0,
-                      size_t i1) {
-  const size_t k = a.cols(), n = b.rows();
-  for (size_t i = i0; i < i1; ++i) {
-    const float* ar = a.RowPtr(i);
-    float* cr = c->RowPtr(i);
-    size_t j = 0;
-    // Four output dot products at once share each ar[p] load; every
-    // accumulator still sums over ascending p, as in the reference.
-    for (; j + 4 <= n; j += 4) {
-      const float* b0 = b.RowPtr(j);
-      const float* b1 = b.RowPtr(j + 1);
-      const float* b2 = b.RowPtr(j + 2);
-      const float* b3 = b.RowPtr(j + 3);
-      float acc0 = 0.0f, acc1 = 0.0f, acc2 = 0.0f, acc3 = 0.0f;
-      for (size_t p = 0; p < k; ++p) {
-        const float av = ar[p];
-        acc0 += av * b0[p];
-        acc1 += av * b1[p];
-        acc2 += av * b2[p];
-        acc3 += av * b3[p];
-      }
-      cr[j] = acc0;
-      cr[j + 1] = acc1;
-      cr[j + 2] = acc2;
-      cr[j + 3] = acc3;
-    }
-    for (; j < n; ++j) {
-      const float* br = b.RowPtr(j);
-      float acc = 0.0f;
-      for (size_t p = 0; p < k; ++p) acc += ar[p] * br[p];
-      cr[j] = acc;
-    }
-  }
+template <bool kSkipZeros>
+void RunGemm(const Gemm& g, size_t m) {
+  ForRowBlocks(m, m * g.k * g.n,
+               [&](size_t i0, size_t i1) { GemmRows<kSkipZeros>(g, i0, i1); });
 }
 
 }  // namespace
 
 Matrix MatMul(const Matrix& a, const Matrix& b) {
-  assert(a.cols() == b.rows());
-  Matrix c(a.rows(), b.cols());
-  ForRowBlocks(a.rows(), a.rows() * a.cols() * b.cols(),
-               [&](size_t i0, size_t i1) { MatMulRows(a, b, &c, i0, i1); });
+  Matrix c;
+  MatMulBias(a, b, {}, /*relu=*/false, &c);
   return c;
+}
+
+void MatMulBias(const Matrix& a, const Matrix& b, std::span<const float> bias,
+                bool relu, Matrix* c) {
+  assert(a.cols() == b.rows());
+  assert(bias.empty() || bias.size() == b.cols());
+  c->Reset(a.rows(), b.cols());
+  RunGemm<true>({a.data(), a.cols(), 1, a.cols(), b.data(), b.cols(),
+                 b.cols(), bias.empty() ? nullptr : bias.data(), relu,
+                 c->data()},
+                a.rows());
 }
 
 Matrix MatMulTransA(const Matrix& a, const Matrix& b) {
   assert(a.rows() == b.rows());
   Matrix c(a.cols(), b.cols());
-  ForRowBlocks(a.cols(), a.rows() * a.cols() * b.cols(),
-               [&](size_t i0, size_t i1) {
-                 MatMulTransARows(a, b, &c, i0, i1);
-               });
+  // Row i of A^T is column i of A: stride a.cols() down the column.
+  RunGemm<true>({a.data(), 1, a.cols(), a.rows(), b.data(), b.cols(),
+                 b.cols(), nullptr, false, c.data()},
+                a.cols());
   return c;
 }
 
 Matrix MatMulTransB(const Matrix& a, const Matrix& b) {
   assert(a.cols() == b.cols());
-  Matrix c(a.rows(), b.rows());
-  ForRowBlocks(a.rows(), a.rows() * a.cols() * b.rows(),
-               [&](size_t i0, size_t i1) {
-                 MatMulTransBRows(a, b, &c, i0, i1);
-               });
+  const size_t k = a.cols(), n = b.rows();
+  Matrix bt(k, n);  // B^T, packed once so the kernel reads B^T's rows
+  for (size_t j = 0; j < n; ++j) {
+    for (size_t p = 0; p < k; ++p) bt.At(p, j) = b.At(j, p);
+  }
+  Matrix c(a.rows(), n);
+  // The reference dot product has no zero skip.
+  RunGemm<false>({a.data(), k, 1, k, bt.data(), n, n, nullptr, false,
+                  c.data()},
+                 a.rows());
   return c;
 }
 
@@ -265,10 +272,6 @@ void AddRowBias(Matrix* x, std::span<const float> bias) {
     float* p = x->RowPtr(r);
     for (size_t c = 0; c < x->cols(); ++c) p[c] += bias[c];
   }
-}
-
-void AddRowBias(Matrix* x, const std::vector<float>& bias) {
-  AddRowBias(x, std::span<const float>(bias));
 }
 
 void ColumnMax(const Matrix& x, std::vector<float>* max_values,

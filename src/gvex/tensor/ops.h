@@ -11,19 +11,29 @@ namespace gvex {
 
 /// C = A * B. Shapes must agree ((m x k) * (k x n) -> (m x n)).
 ///
-/// Cache-blocked over k with an unrolled inner loop, and row-partitioned
-/// over the shared ThreadPool above a flop threshold. Every variant
-/// accumulates each C(i, j) over ascending p exactly like the reference
-/// kernel, so results are bit-identical to MatMulReference (pinned by
-/// tensor_test's equivalence suite; see docs/PERFORMANCE.md).
+/// One register-blocked kernel serves MatMul, MatMulTransA and
+/// MatMulTransB: it holds 16 columns of a C row in four 4-wide vector
+/// registers for the whole k loop, and row-partitions over the shared
+/// ThreadPool above a flop threshold. Each C(i, j) still accumulates over
+/// ascending p exactly like the reference kernel, so results are
+/// bit-identical to MatMulReference (pinned by tensor_test's equivalence
+/// suite; see docs/PERFORMANCE.md).
 Matrix MatMul(const Matrix& a, const Matrix& b);
+
+/// *c = A * B, then c[r] += bias for every row r (skipped when `bias` is
+/// empty), then ReLU when `relu` — the GCN layer's dense step, with the
+/// bias add and the ReLU done in the kernel's store. `c` is reshaped to
+/// m x n, reusing its allocation. Bit-identical to MatMulReference, then
+/// AddRowBias, then Relu.
+void MatMulBias(const Matrix& a, const Matrix& b, std::span<const float> bias,
+                bool relu, Matrix* c);
 
 /// C = A^T * B ((k x m)^T * (k x n) -> (m x n)), without materializing A^T.
 /// Bit-identical to MatMulTransAReference (see MatMul).
 Matrix MatMulTransA(const Matrix& a, const Matrix& b);
 
-/// C = A * B^T ((m x k) * (n x k)^T -> (m x n)).
-/// Bit-identical to MatMulTransBReference (see MatMul).
+/// C = A * B^T ((m x k) * (n x k)^T -> (m x n)); B^T is packed once per
+/// call. Bit-identical to MatMulTransBReference (see MatMul).
 Matrix MatMulTransB(const Matrix& a, const Matrix& b);
 
 /// Reference (naive) kernels: the pre-optimization implementations, kept
@@ -51,11 +61,9 @@ Matrix ReluBackward(const Matrix& x, const Matrix& dy);
 /// Row-wise softmax (numerically stabilized).
 Matrix RowSoftmax(const Matrix& logits);
 
-/// Add a row-broadcast bias: x[r] += bias for every row r. The span
-/// overload is the hot-path form (a Matrix::Row view, no copy); the
-/// vector overload forwards to it.
+/// Add a row-broadcast bias: x[r] += bias for every row r. The reference
+/// for MatMulBias's fused bias store.
 void AddRowBias(Matrix* x, std::span<const float> bias);
-void AddRowBias(Matrix* x, const std::vector<float>& bias);
 
 /// Column-wise max over rows; also reports the argmax row per column
 /// (needed by max-pool readout backprop). `x` must have >= 1 row.

@@ -365,6 +365,23 @@ TEST_F(ServeEngineTest, ClassifyExplainMatchesModel) {
   }
 }
 
+TEST_F(ServeEngineTest, ClassifyRunsOneForward) {
+  // Both response fields, the label and the probabilities, come from one
+  // inference forward.
+  const auto& ctx = MutagenicityContext();  // trained before counting
+  obs::Counter& forwards =
+      obs::Registry::Global().GetCounter("gnn.forward_calls");
+  Request req;
+  req.type = RequestType::kClassifyExplain;
+  req.graph = ctx.db.graph(1);
+  req.has_graph = true;
+  const uint64_t before = forwards.Value();
+  Response resp = server_->Call(req);
+  ASSERT_TRUE(resp.ok()) << resp.message;
+  EXPECT_EQ(forwards.Value() - before, 1u);
+  EXPECT_EQ(resp.probabilities.size(), 2u);
+}
+
 TEST_F(ServeEngineTest, ErrorsAreTyped) {
   Request req;
   req.type = RequestType::kSupport;

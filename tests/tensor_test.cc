@@ -1,7 +1,10 @@
 // Unit tests for dense/sparse kernels.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <tuple>
 
 #include "gvex/common/rng.h"
@@ -155,6 +158,114 @@ TEST(OpsTest, ParallelPathBitIdenticalToReference) {
   Matrix ba = RandomSparseMatrix(96, 512, 15);
   Matrix bb = RandomSparseMatrix(256, 512, 16);
   ExpectBitIdentical(MatMulTransB(ba, bb), MatMulTransBReference(ba, bb));
+}
+
+// Entries drawn to hit every special case of the kernels: Gaussian
+// values, exact +0.0 and -0.0 (skipped by the av == 0 test), +-inf and
+// NaN (0 * inf is NaN, so a wrong skip shows), and subnormals.
+Matrix SpecialValuesMatrix(size_t r, size_t c, uint64_t seed) {
+  // Non-finite entries are rare enough that most outputs stay finite at
+  // k = 70, so the accumulation order is checked as well.
+  const float kNonFinite[] = {std::numeric_limits<float>::infinity(),
+                              -std::numeric_limits<float>::infinity(),
+                              std::numeric_limits<float>::quiet_NaN()};
+  Rng rng(seed);
+  Matrix m(r, c);
+  for (size_t i = 0; i < m.size(); ++i) {
+    const double u = rng.NextDouble();
+    float v = static_cast<float>(rng.NextGaussian());
+    if (u < 0.1) {
+      v = 0.0f;
+    } else if (u < 0.2) {
+      v = -0.0f;
+    } else if (u < 0.24) {
+      v = u < 0.22 ? std::numeric_limits<float>::denorm_min() : -3.5e-39f;
+    } else if (u < 0.25) {
+      v = kNonFinite[rng.NextBounded(3)];
+    }
+    m.data()[i] = v;
+  }
+  return m;
+}
+
+// Bitwise equality, which unlike == tells -0.0 from +0.0. The one
+// exception: a NaN must meet a NaN, but their sign and payload may
+// differ. When both operands of an SSE add are NaN the result is the
+// first operand's, and GCC orders the operands of a commutative add as it
+// likes, differently in each kernel and in each build; IEEE 754 leaves
+// the payload of a NaN result open too.
+void ExpectSameBits(const Matrix& got, const Matrix& want) {
+  ASSERT_TRUE(got.SameShape(want))
+      << got.ShapeString() << " vs " << want.ShapeString();
+  for (size_t i = 0; i < got.size(); ++i) {
+    const float g = got.data()[i], w = want.data()[i];
+    if (std::isnan(g) && std::isnan(w)) continue;
+    ASSERT_EQ(std::bit_cast<uint32_t>(g), std::bit_cast<uint32_t>(w))
+        << "flat index " << i << ": " << g << " vs " << w;
+  }
+}
+
+// Shapes that hit every column tail of the 16-wide kernel block (and its
+// 4-wide and scalar tails) and k from 1 to past 64.
+constexpr size_t kTailCols[] = {1, 3, 4, 15, 16, 17, 33, 48};
+constexpr size_t kDepths[] = {1, 3, 32, 70};
+
+TEST(OpsTest, KernelTailsBitIdenticalToReferenceOnSpecialValues) {
+  uint64_t seed = 500;
+  for (size_t n : kTailCols) {
+    for (size_t k : kDepths) {
+      SCOPED_TRACE(testing::Message() << "k=" << k << " n=" << n);
+      const size_t m = 5;
+      Matrix a = SpecialValuesMatrix(m, k, ++seed);
+      Matrix b = SpecialValuesMatrix(k, n, ++seed);
+      ExpectSameBits(MatMul(a, b), MatMulReference(a, b));
+
+      Matrix ta = SpecialValuesMatrix(k, m, ++seed);
+      ExpectSameBits(MatMulTransA(ta, b), MatMulTransAReference(ta, b));
+
+      Matrix tb = SpecialValuesMatrix(n, k, ++seed);
+      ExpectSameBits(MatMulTransB(a, tb), MatMulTransBReference(a, tb));
+    }
+  }
+}
+
+TEST(OpsTest, FusedBiasReluStoreBitIdenticalToReferenceChain) {
+  uint64_t seed = 900;
+  for (size_t n : kTailCols) {
+    for (size_t k : kDepths) {
+      SCOPED_TRACE(testing::Message() << "k=" << k << " n=" << n);
+      Matrix a = SpecialValuesMatrix(7, k, ++seed);
+      Matrix b = SpecialValuesMatrix(k, n, ++seed);
+      Matrix bias = SpecialValuesMatrix(1, n, ++seed);
+      Matrix want = MatMulReference(a, b);
+      AddRowBias(&want, bias.Row(0));
+      Matrix c(2, 2, 7.0f);  // stale contents and shape must not leak
+      MatMulBias(a, b, bias.Row(0), /*relu=*/false, &c);
+      ExpectSameBits(c, want);
+      MatMulBias(a, b, bias.Row(0), /*relu=*/true, &c);
+      ExpectSameBits(c, Relu(want));
+      MatMulBias(a, b, {}, /*relu=*/true, &c);
+      ExpectSameBits(c, Relu(MatMulReference(a, b)));
+    }
+  }
+}
+
+TEST(OpsTest, ParallelPathBitIdenticalToReferenceOnSpecialValues) {
+  // Above the parallel flop threshold with >= 64 output rows.
+  Matrix a = SpecialValuesMatrix(96, 512, 31);
+  Matrix b = SpecialValuesMatrix(512, 257, 32);
+  ExpectSameBits(MatMul(a, b), MatMulReference(a, b));
+  Matrix bias = SpecialValuesMatrix(1, 257, 33);
+  Matrix want = MatMulReference(a, b);
+  AddRowBias(&want, bias.Row(0));
+  Matrix c;
+  MatMulBias(a, b, bias.Row(0), /*relu=*/true, &c);
+  ExpectSameBits(c, Relu(want));
+
+  Matrix ta = SpecialValuesMatrix(512, 96, 34);
+  ExpectSameBits(MatMulTransA(ta, b), MatMulTransAReference(ta, b));
+  Matrix tb = SpecialValuesMatrix(257, 512, 35);
+  ExpectSameBits(MatMulTransB(a, tb), MatMulTransBReference(a, tb));
 }
 
 TEST(OpsTest, ReluForwardBackward) {
