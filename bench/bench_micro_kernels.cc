@@ -470,7 +470,7 @@ void MeasureCompactDataPlane(gvex::obs::PerfReport* report) {
   {
     // Param names end in _bytes so bench_diff --mem gates them.
     GcnClassifier model = MakeBenchModel();
-    std::ostringstream fp32;
+    TextWriter fp32;
     if (GcnSerializer::Write(model, &fp32).ok()) {
       report->SetParam("model_fp32_bytes",
                        static_cast<uint64_t>(fp32.str().size()));
@@ -478,7 +478,7 @@ void MeasureCompactDataPlane(gvex::obs::PerfReport* report) {
     for (WeightPrecision p : {WeightPrecision::kFp16, WeightPrecision::kInt8}) {
       auto qm = QuantizeModel(model, p);
       if (!qm.ok()) continue;
-      std::ostringstream out;
+      TextWriter out;
       if (WriteQuantizedModel(*qm, &out).ok()) {
         report->SetParam(
             std::string("model_") + WeightPrecisionName(p) + "_bytes",

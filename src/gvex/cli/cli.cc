@@ -20,6 +20,7 @@
 
 #include "gvex/common/cancellation.h"
 #include "gvex/common/failpoint.h"
+#include "gvex/common/io_util.h"
 #include "gvex/common/stopwatch.h"
 #include "gvex/common/string_util.h"
 #include "gvex/datasets/datasets.h"
@@ -139,6 +140,13 @@ Result<GraphDatabase> LoadDb(const Flags& flags) {
 Result<GcnClassifier> LoadModel(const Flags& flags) {
   GVEX_ASSIGN_OR_RETURN(std::string path, flags.Require("model"));
   return GcnSerializer::Load(path);
+}
+
+// A pattern or query graph file: one gvexgraph-v1 record.
+Result<Graph> LoadGraphFile(const std::string& path) {
+  GVEX_ASSIGN_OR_RETURN(std::string bytes, ReadFile(path));
+  TextReader in(bytes);
+  return ReadGraph(&in);
 }
 
 Configuration ConfigFromFlags(const Flags& flags) {
@@ -326,11 +334,7 @@ Status CmdQuery(const Flags& flags) {
   GVEX_ASSIGN_OR_RETURN(std::string views_path, flags.Require("views"));
   GVEX_ASSIGN_OR_RETURN(ExplanationViewSet set, LoadViewSet(views_path));
   GVEX_ASSIGN_OR_RETURN(std::string pattern_path, flags.Require("pattern"));
-  std::ifstream pattern_in(pattern_path);
-  if (!pattern_in.is_open()) {
-    return Status::IoError("cannot open " + pattern_path);
-  }
-  GVEX_ASSIGN_OR_RETURN(Graph pattern, ReadGraph(&pattern_in));
+  GVEX_ASSIGN_OR_RETURN(Graph pattern, LoadGraphFile(pattern_path));
   ClassLabel label = static_cast<ClassLabel>(flags.GetInt("label", -1));
 
   MatchOptions loose;
@@ -619,12 +623,6 @@ Status CmdServe(const Flags& flags) {
   return Status::OK();
 }
 
-Result<Graph> LoadGraphFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.is_open()) return Status::IoError("cannot open " + path);
-  return ReadGraph(&in);
-}
-
 Result<serve::Request> BuildClientRequest(const Flags& flags) {
   GVEX_ASSIGN_OR_RETURN(std::string type_name, flags.Require("type"));
   const std::optional<serve::RequestType> type =
@@ -905,11 +903,7 @@ Status CmdClient(const Flags& flags) {
 // ships; a mixed outcome exits with the same distinct kPartialFailure
 // code (14) as a bundle fan-out.
 Status PublishZoo(const Flags& flags, const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return Status::IoError("cannot open " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string artifact = buf.str();
+  GVEX_ASSIGN_OR_RETURN(const std::string artifact, ReadFile(path));
   GVEX_ASSIGN_OR_RETURN(std::vector<zoo::ExplainerRouteConfig> configs,
                         zoo::ParseZooArtifact(artifact));
 

@@ -1,9 +1,6 @@
 #include "gvex/cluster/bundle.h"
 
-#include <cinttypes>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 
 #include "gvex/common/checksum.h"
 #include "gvex/common/failpoint.h"
@@ -24,8 +21,8 @@ constexpr const char* kEndTag = "gvexbundle-end";
 // the same payload bytes. Not cryptographic — it guards replication
 // bookkeeping against accidental divergence, while the per-section CRCs
 // guard the bytes themselves.
-std::string FingerprintOf(const std::string& views_bytes,
-                          const std::string& model_bytes) {
+std::string FingerprintOf(std::string_view views_bytes,
+                          std::string_view model_bytes) {
   uint32_t hi = Crc32Update(0, views_bytes.data(), views_bytes.size());
   hi = Crc32Update(hi, model_bytes.data(), model_bytes.size());
   uint32_t lo = Crc32Update(0x67766578u /* "gvex" */, views_bytes.data(),
@@ -44,22 +41,20 @@ struct SerializedContent {
 
 Result<SerializedContent> SerializeContent(const ViewBundle& bundle) {
   SerializedContent content;
-  std::ostringstream views_out;
-  SetMaxPrecision(&views_out);
+  TextWriter views_out;
   GVEX_RETURN_NOT_OK(WriteViewSet(bundle.views, &views_out));
-  content.views = std::move(views_out).str();
+  content.views = views_out.Take();
   // The quantized payload, when present, is the model of record: the
   // fingerprint covers its bytes, and the fp32 twin in `model` is never
   // re-serialized (re-quantizing it is not guaranteed byte-stable).
   if (bundle.qmodel != nullptr) {
-    std::ostringstream model_out;
+    TextWriter model_out;
     GVEX_RETURN_NOT_OK(WriteQuantizedModel(*bundle.qmodel, &model_out));
-    content.model = std::move(model_out).str();
+    content.model = model_out.Take();
   } else if (bundle.model != nullptr) {
-    std::ostringstream model_out;
-    SetMaxPrecision(&model_out);
+    TextWriter model_out;
     GVEX_RETURN_NOT_OK(GcnSerializer::Write(*bundle.model, &model_out));
-    content.model = std::move(model_out).str();
+    content.model = model_out.Take();
   }
   return content;
 }
@@ -81,7 +76,7 @@ Result<std::string> BundleFingerprint(const ViewBundle& bundle) {
   return FingerprintOf(content.views, content.model);
 }
 
-Status WriteBundle(const ViewBundle& bundle, std::ostream* out) {
+Status WriteBundle(const ViewBundle& bundle, TextWriter* out) {
   if (!IsValidRouteName(bundle.route)) {
     return Status::InvalidArgument("invalid route name: '" + bundle.route +
                                    "' (want 1..64 chars of [A-Za-z0-9_.-])");
@@ -89,9 +84,8 @@ Status WriteBundle(const ViewBundle& bundle, std::ostream* out) {
   const bool quantized = bundle.qmodel != nullptr;
   const bool has_model = quantized || bundle.model != nullptr;
   GVEX_ASSIGN_OR_RETURN(SerializedContent content, SerializeContent(bundle));
-  SetMaxPrecision(out);
-  (*out) << (quantized ? kMagicV2 : kMagic) << "\n";
-  std::ostringstream header;
+  *out << (quantized ? kMagicV2 : kMagic) << "\n";
+  TextWriter header;
   header << "route " << bundle.route << "\n"
          << "generation " << bundle.generation << "\n"
          << "has_model " << (has_model ? 1 : 0) << "\n";
@@ -101,32 +95,29 @@ Status WriteBundle(const ViewBundle& bundle, std::ostream* out) {
   }
   header << "fingerprint " << FingerprintOf(content.views, content.model)
          << "\n";
-  GVEX_RETURN_NOT_OK(WriteSection(out, header.str()));
-  GVEX_RETURN_NOT_OK(WriteSection(out, content.views));
-  if (has_model) {
-    GVEX_RETURN_NOT_OK(WriteSection(out, content.model));
-  }
-  (*out) << kEndTag << "\n";
-  if (!out->good()) return Status::IoError("bundle stream write failed");
+  WriteSection(out, header.str());
+  WriteSection(out, content.views);
+  if (has_model) WriteSection(out, content.model);
+  *out << kEndTag << "\n";
   return Status::OK();
 }
 
-Result<ViewBundle> ReadBundle(std::istream* in) {
+Result<ViewBundle> ReadBundle(TextReader* in) {
   GVEX_FAILPOINT_RETURN("cluster.bundle_read");
-  std::string magic;
-  if (!((*in) >> magic) || (magic != kMagic && magic != kMagicV2)) {
+  std::string_view magic;
+  if (!(*in >> magic) || (magic != kMagic && magic != kMagicV2)) {
     return Status::IoError("bad bundle magic");
   }
   const bool v2 = magic == kMagicV2;
-  GVEX_ASSIGN_OR_RETURN(std::string header, ReadSection(in));
+  GVEX_ASSIGN_OR_RETURN(std::string_view header, ReadSection(in));
 
   ViewBundle bundle;
   int has_model = 0;
   WeightPrecision precision = WeightPrecision::kFp32;
-  std::string declared_fingerprint;
+  std::string_view declared_fingerprint;
   {
-    std::istringstream hin(header);
-    std::string key;
+    TextReader hin(header);
+    std::string_view key;
     if (!(hin >> key >> bundle.route) || key != "route") {
       return Status::IoError("bad bundle header: route");
     }
@@ -156,13 +147,13 @@ Result<ViewBundle> ReadBundle(std::istream* in) {
     return Status::IoError("bundle names invalid route '" + bundle.route + "'");
   }
 
-  GVEX_ASSIGN_OR_RETURN(std::string views_bytes, ReadSection(in));
-  std::string model_bytes;
+  GVEX_ASSIGN_OR_RETURN(std::string_view views_bytes, ReadSection(in));
+  std::string_view model_bytes;
   if (has_model != 0) {
     GVEX_ASSIGN_OR_RETURN(model_bytes, ReadSection(in));
   }
-  std::string end_tag;
-  if (!((*in) >> end_tag) || end_tag != kEndTag) {
+  std::string_view end_tag;
+  if (!(*in >> end_tag) || end_tag != kEndTag) {
     return Status::IoError("bundle end marker missing (truncated bundle?)");
   }
   // The header fingerprint binds the sections together: a bundle stitched
@@ -171,16 +162,17 @@ Result<ViewBundle> ReadBundle(std::istream* in) {
   const std::string actual = FingerprintOf(views_bytes, model_bytes);
   if (actual != declared_fingerprint) {
     return Status::IoError("bundle fingerprint mismatch (declared " +
-                           declared_fingerprint + ", content " + actual + ")");
+                           std::string(declared_fingerprint) + ", content " +
+                           actual + ")");
   }
   bundle.fingerprint = actual;
 
   {
-    std::istringstream vin(views_bytes);
+    TextReader vin(views_bytes);
     GVEX_ASSIGN_OR_RETURN(bundle.views, ReadViewSet(&vin));
   }
   if (has_model != 0) {
-    std::istringstream min(model_bytes);
+    TextReader min(model_bytes);
     if (v2) {
       // Keep the quantized payload verbatim (it is what the fingerprint
       // covers) and serve its dequantized fp32 twin.
@@ -200,27 +192,21 @@ Result<ViewBundle> ReadBundle(std::istream* in) {
 }
 
 Result<std::string> EncodeBundle(const ViewBundle& bundle) {
-  std::ostringstream out;
+  TextWriter out;
   GVEX_RETURN_NOT_OK(WriteBundle(bundle, &out));
-  return std::move(out).str();
+  return out.Take();
 }
 
 Result<ViewBundle> DecodeBundle(const std::string& bytes) {
-  std::istringstream in(bytes);
+  TextReader in(bytes);
   return ReadBundle(&in);
 }
 
 Status SaveBundle(const ViewBundle& bundle, const std::string& path) {
   return RetryIo([&] {
     return AtomicSave(
-        path, [&](std::ostream* out) { return WriteBundle(bundle, out); });
+        path, [&](TextWriter* out) { return WriteBundle(bundle, out); });
   });
-}
-
-Result<ViewBundle> LoadBundle(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.is_open()) return Status::IoError("cannot open " + path);
-  return ReadBundle(&in);
 }
 
 }  // namespace cluster

@@ -33,11 +33,11 @@
 // never replaces a live generation (view_registry.h).
 #pragma once
 
-#include <iosfwd>
 #include <memory>
 #include <string>
 
 #include "gvex/common/result.h"
+#include "gvex/common/text_codec.h"
 #include "gvex/explain/view.h"
 #include "gvex/gnn/model.h"
 #include "gvex/gnn/quantize.h"
@@ -77,13 +77,13 @@ struct ViewBundle {
 /// The fingerprint Write would stamp for this content (hex16).
 Result<std::string> BundleFingerprint(const ViewBundle& bundle);
 
-Status WriteBundle(const ViewBundle& bundle, std::ostream* out);
+Status WriteBundle(const ViewBundle& bundle, TextWriter* out);
 
 /// Read + verify one bundle: section CRCs, end marker, and the header
 /// fingerprint against the recomputed content fingerprint. Any mismatch
 /// is an error Status — a torn bundle never parses. Failpoint:
 /// "cluster.bundle_read".
-Result<ViewBundle> ReadBundle(std::istream* in);
+Result<ViewBundle> ReadBundle(TextReader* in);
 
 // String forms for the wire (RequestType::kInstall / kFetch payloads).
 Result<std::string> EncodeBundle(const ViewBundle& bundle);
@@ -92,7 +92,6 @@ Result<ViewBundle> DecodeBundle(const std::string& bytes);
 /// Atomic save (temp + rename) with transient-IO retry, like every other
 /// v2 artifact writer.
 Status SaveBundle(const ViewBundle& bundle, const std::string& path);
-Result<ViewBundle> LoadBundle(const std::string& path);
 
 }  // namespace cluster
 }  // namespace gvex

@@ -1,9 +1,7 @@
 #include "gvex/cluster/shard_map.h"
 
 #include <algorithm>
-#include <fstream>
 #include <set>
-#include <sstream>
 
 #include "gvex/common/io_util.h"
 
@@ -191,10 +189,9 @@ std::vector<ViewBundle> ShardMap::Partition(const ViewBundle& bundle) const {
   return parts;
 }
 
-Status ShardMap::Write(std::ostream* out) const {
-  (*out) << kMagic << "\n";
-  std::ostringstream body;
-  SetMaxPrecision(&body);
+Status ShardMap::Write(TextWriter* out) const {
+  *out << kMagic << "\n";
+  TextWriter body;
   body << "version " << version_ << "\n";
   body << "slots " << kShardSlots << "\n";
   body << "shards " << shards_.size() << "\n";
@@ -205,26 +202,25 @@ Status ShardMap::Write(std::ostream* out) const {
   body << "owners";
   for (uint32_t owner : slot_owner_) body << " " << owner;
   body << "\n";
-  GVEX_RETURN_NOT_OK(WriteSection(out, std::move(body).str()));
-  (*out) << kEndMarker << "\n";
+  WriteSection(out, body.str());
+  *out << kEndMarker << "\n";
   return Status::OK();
 }
 
-Result<ShardMap> ShardMap::Read(std::istream* in) {
-  std::string magic;
-  if (!((*in) >> magic) || magic != kMagic) {
+Result<ShardMap> ShardMap::Read(TextReader* in) {
+  std::string_view magic;
+  if (!(*in >> magic) || magic != kMagic) {
     return Status::IoError("not a gvexshardmap-v1 file");
   }
-  in->get();  // the \n after the magic
-  GVEX_ASSIGN_OR_RETURN(std::string payload, ReadSection(in));
-  std::string marker;
-  if (!((*in) >> marker) || marker != kEndMarker) {
+  GVEX_ASSIGN_OR_RETURN(std::string_view payload, ReadSection(in));
+  std::string_view marker;
+  if (!(*in >> marker) || marker != kEndMarker) {
     return Status::IoError("shard map missing end marker (truncated?)");
   }
 
-  std::istringstream body(payload);
+  TextReader body(payload);
   ShardMap map;
-  std::string key;
+  std::string_view key;
   size_t slots = 0, num_shards = 0;
   if (!(body >> key >> map.version_) || key != "version") {
     return Status::IoError("bad shard map version field");
@@ -258,13 +254,14 @@ Result<ShardMap> ShardMap::Read(std::istream* in) {
 
 Status ShardMap::Save(const std::string& path) const {
   return RetryIo([&] {
-    return AtomicSave(path, [this](std::ostream* out) { return Write(out); });
+    return AtomicSave(path, [this](TextWriter* out) { return Write(out); });
   });
 }
 
 Result<ShardMap> ShardMap::Load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open shard map: " + path);
+  Result<std::string> bytes = ReadFile(path);
+  if (!bytes.ok()) return Status::IoError("cannot open shard map: " + path);
+  TextReader in(*bytes);
   return Read(&in);
 }
 

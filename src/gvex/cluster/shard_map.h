@@ -22,12 +22,12 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
 #include "gvex/cluster/bundle.h"
 #include "gvex/common/result.h"
+#include "gvex/common/text_codec.h"
 
 namespace gvex {
 namespace cluster {
@@ -83,8 +83,8 @@ class ShardMap {
   std::vector<ViewBundle> Partition(const ViewBundle& bundle) const;
 
   // ---- serialization ("gvexshardmap-v1", CRC-sectioned) --------------------
-  Status Write(std::ostream* out) const;
-  static Result<ShardMap> Read(std::istream* in);
+  Status Write(TextWriter* out) const;
+  static Result<ShardMap> Read(TextReader* in);
   Status Save(const std::string& path) const;  ///< atomic temp+rename
   static Result<ShardMap> Load(const std::string& path);
 

@@ -1,10 +1,9 @@
 #include "gvex/common/io_util.h"
 
+#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <limits>
 #include <thread>
 
 #include "gvex/common/checksum.h"
@@ -13,51 +12,45 @@
 
 namespace gvex {
 
-Status WriteSection(std::ostream* out, const std::string& payload) {
-  (*out) << "sec " << payload.size() << " "
-         << StrFormat("%08x", Crc32(payload)) << "\n";
-  out->write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  if (!out->good()) return Status::IoError("section write failed");
-  return Status::OK();
+void WriteSection(TextWriter* out, std::string_view payload) {
+  *out << "sec " << payload.size() << " "
+       << StrFormat("%08x", Crc32(payload.data(), payload.size())) << "\n"
+       << payload;
 }
 
-Result<std::string> ReadSection(std::istream* in) {
-  std::string tag, crc_hex;
+Result<std::string_view> ReadSection(TextReader* in) {
+  std::string_view tag, crc_hex;
   size_t nbytes = 0;
-  if (!((*in) >> tag >> nbytes >> crc_hex) || tag != "sec") {
+  if (!(*in >> tag >> nbytes >> crc_hex) || tag != "sec") {
     return Status::IoError("bad section frame");
   }
   if (crc_hex.size() != 8 ||
-      crc_hex.find_first_not_of("0123456789abcdef") != std::string::npos) {
+      crc_hex.find_first_not_of("0123456789abcdef") != std::string_view::npos) {
     return Status::IoError("bad section checksum field");
   }
-  if (in->get() != '\n') return Status::IoError("bad section frame");
-  std::string payload(nbytes, '\0');
-  in->read(payload.data(), static_cast<std::streamsize>(nbytes));
-  if (static_cast<size_t>(in->gcount()) != nbytes) {
-    return Status::IoError("section truncated");
-  }
-  uint32_t expected =
-      static_cast<uint32_t>(std::strtoul(crc_hex.c_str(), nullptr, 16));
-  if (Crc32(payload) != expected) {
+  if (!in->Consume('\n')) return Status::IoError("bad section frame");
+  std::string_view payload;
+  if (!in->Take(nbytes, &payload)) return Status::IoError("section truncated");
+  uint32_t expected = 0;
+  std::from_chars(crc_hex.data(), crc_hex.data() + crc_hex.size(), expected,
+                  16);
+  if (Crc32(payload.data(), payload.size()) != expected) {
     return Status::IoError("section checksum mismatch");
   }
   return payload;
 }
 
-void SetMaxPrecision(std::ostream* out) {
-  out->precision(std::numeric_limits<double>::max_digits10);
-}
-
 Status AtomicSave(const std::string& path,
-                  const std::function<Status(std::ostream*)>& writer) {
+                  const std::function<Status(TextWriter*)>& writer) {
   const std::string tmp = path + ".tmp";
   {
-    std::ofstream out(tmp, std::ios::trunc);
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out.is_open()) return Status::IoError("cannot open " + tmp);
-    SetMaxPrecision(&out);
-    Status st = writer(&out);
+    TextWriter text;
+    Status st = writer(&text);
     if (st.ok()) {
+      out.write(text.str().data(),
+                static_cast<std::streamsize>(text.str().size()));
       out.flush();
       if (!out.good()) st = Status::IoError("flush failed for " + tmp);
     }
@@ -81,6 +74,18 @@ Status AtomicSave(const std::string& path,
     return Status::IoError("rename to " + path + " failed");
   }
   return Status::OK();
+}
+
+Result<std::string> ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in.is_open()) return Status::IoError("cannot open " + path);
+  std::string bytes;
+  char buf[1 << 16];
+  while (in.read(buf, sizeof(buf)) || in.gcount() > 0) {
+    bytes.append(buf, static_cast<size_t>(in.gcount()));
+  }
+  if (in.bad()) return Status::IoError("cannot read " + path);
+  return bytes;
 }
 
 Status RetryIo(const std::function<Status()>& op, const RetryOptions& options) {

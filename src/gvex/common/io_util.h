@@ -7,10 +7,11 @@
 #pragma once
 
 #include <functional>
-#include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "gvex/common/result.h"
+#include "gvex/common/text_codec.h"
 
 namespace gvex {
 
@@ -20,19 +21,26 @@ namespace gvex {
 // <byte-count> payload bytes. Readers reject short reads (truncation) and
 // checksum mismatches (corruption) with IoError before any payload parsing.
 
-Status WriteSection(std::ostream* out, const std::string& payload);
+void WriteSection(TextWriter* out, std::string_view payload);
 
-/// Read one section; IoError on framing, truncation, or CRC mismatch.
-Result<std::string> ReadSection(std::istream* in);
+/// Read one section; IoError on framing, truncation, or CRC mismatch. The
+/// payload points into the reader's bytes.
+Result<std::string_view> ReadSection(TextReader* in);
+
+/// The fewest bytes one section takes ("sec 0 00000000\n"), for bounding
+/// a count of sections by the bytes left.
+inline constexpr size_t kMinSectionBytes = 15;
 
 // ---- atomic save ------------------------------------------------------------
 
 /// Serialize via `writer` into `path + ".tmp"`, then rename over `path`.
 /// The temp file is removed on any failure; readers of `path` never see a
-/// partial write. Streams handed to `writer` have max round-trip float
-/// precision set.
+/// partial write.
 Status AtomicSave(const std::string& path,
-                  const std::function<Status(std::ostream*)>& writer);
+                  const std::function<Status(TextWriter*)>& writer);
+
+/// The whole file at `path`; IoError if it cannot be opened or read.
+Result<std::string> ReadFile(const std::string& path);
 
 // ---- retry ------------------------------------------------------------------
 
@@ -45,10 +53,5 @@ struct RetryOptions {
 /// codes (and success) return immediately.
 Status RetryIo(const std::function<Status()>& op,
                const RetryOptions& options = RetryOptions());
-
-/// Round-trip-exact printing for the text formats ('%.17g' territory);
-/// applied to every v2 writer stream so checkpointed doubles restore to
-/// the same bits and resumed runs serialize byte-identically.
-void SetMaxPrecision(std::ostream* out);
 
 }  // namespace gvex

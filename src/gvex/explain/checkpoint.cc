@@ -1,7 +1,6 @@
 #include "gvex/explain/checkpoint.h"
 
 #include <fstream>
-#include <sstream>
 
 #include "gvex/common/failpoint.h"
 #include "gvex/common/io_util.h"
@@ -22,45 +21,44 @@ Result<std::unique_ptr<ExplanationCheckpoint>> ExplanationCheckpoint::Open(
 
   bool have_valid_file = false;
   if (resume) {
-    std::ifstream in(path);
-    if (in.is_open()) {
-      std::string magic;
-      if ((in >> magic) && magic == kMagic) {
-        have_valid_file = true;
-        for (;;) {
-          Result<std::string> payload = ReadSection(&in);
-          if (!payload.ok()) {
-            // EOF is the normal end; anything else is a torn tail from a
-            // crash mid-append — keep the valid prefix, drop the rest.
-            if (!in.eof()) {
-              GVEX_LOG(Warning)
-                  << "checkpoint " << path << ": discarding corrupt tail ("
-                  << payload.status().ToString() << ") after "
-                  << ckpt->records_.size() << " records";
-            }
-            break;
-          }
-          std::istringstream rec(*payload);
-          std::string tag;
-          ClassLabel label;
-          if (!(rec >> tag >> label) || tag != "rec") {
-            GVEX_LOG(Warning) << "checkpoint " << path
-                              << ": malformed record, stopping replay";
-            break;
-          }
-          Result<ExplanationSubgraph> sub = ReadExplanationSubgraph(&rec);
-          if (!sub.ok()) {
-            GVEX_LOG(Warning) << "checkpoint " << path
-                              << ": unreadable record, stopping replay";
-            break;
-          }
-          size_t gi = sub->graph_index;
-          ckpt->records_[{label, gi}] = std::move(*sub);
-        }
-        ckpt->loaded_count_ = ckpt->records_.size();
-      } else {
+    // A journal that cannot be read is treated like a missing one.
+    Result<std::string> bytes = ReadFile(path);
+    if (bytes.ok()) {
+      TextReader in(*bytes);
+      std::string_view magic;
+      if (!(in >> magic) || magic != kMagic) {
         return Status::IoError("checkpoint " + path + " has a bad magic");
       }
+      have_valid_file = true;
+      while (!in.AtEnd()) {
+        Result<std::string_view> payload = ReadSection(&in);
+        if (!payload.ok()) {
+          // A torn tail from a crash mid-append: keep the valid prefix,
+          // drop the rest.
+          GVEX_LOG(Warning)
+              << "checkpoint " << path << ": discarding corrupt tail ("
+              << payload.status().ToString() << ") after "
+              << ckpt->records_.size() << " records";
+          break;
+        }
+        TextReader rec(*payload);
+        std::string_view tag;
+        ClassLabel label = -1;
+        if (!(rec >> tag >> label) || tag != "rec") {
+          GVEX_LOG(Warning) << "checkpoint " << path
+                            << ": malformed record, stopping replay";
+          break;
+        }
+        Result<ExplanationSubgraph> sub = ReadExplanationSubgraph(&rec);
+        if (!sub.ok()) {
+          GVEX_LOG(Warning) << "checkpoint " << path
+                            << ": unreadable record, stopping replay";
+          break;
+        }
+        size_t gi = sub->graph_index;
+        ckpt->records_[{label, gi}] = std::move(*sub);
+      }
+      ckpt->loaded_count_ = ckpt->records_.size();
     }
   }
 
@@ -70,7 +68,6 @@ Result<std::unique_ptr<ExplanationCheckpoint>> ExplanationCheckpoint::Open(
   if (!ckpt->out_->is_open()) {
     return Status::IoError("cannot open checkpoint " + path);
   }
-  SetMaxPrecision(ckpt->out_.get());
   if (!have_valid_file) {
     (*ckpt->out_) << kMagic << "\n";
     ckpt->out_->flush();
@@ -95,13 +92,15 @@ Status ExplanationCheckpoint::Append(ClassLabel label,
   GVEX_FAILPOINT_RETURN("checkpoint.append");
   GVEX_COUNTER_INC("checkpoint.appends");
   GVEX_LATENCY_US("checkpoint.append_us");
-  std::ostringstream rec;
-  SetMaxPrecision(&rec);
+  TextWriter rec;
   rec << "rec " << label << "\n";
   GVEX_RETURN_NOT_OK(WriteExplanationSubgraph(sub, &rec));
+  TextWriter section;
+  WriteSection(&section, rec.str());
 
   std::lock_guard<std::mutex> lock(mu_);
-  GVEX_RETURN_NOT_OK(WriteSection(out_.get(), rec.str()));
+  out_->write(section.str().data(),
+              static_cast<std::streamsize>(section.str().size()));
   out_->flush();
   if (!out_->good()) {
     return Status::IoError("checkpoint append to " + path_ + " failed");

@@ -1,12 +1,9 @@
 #include "gvex/explain/snapshot_io.h"
 
 #include <algorithm>
-#include <istream>
-#include <ostream>
 #include <string>
 #include <vector>
 
-#include "gvex/common/io_util.h"
 #include "gvex/explain/view_io.h"
 #include "gvex/graph/graph_io.h"
 
@@ -15,43 +12,29 @@ namespace {
 
 constexpr const char* kMagic = "gvexsnap-v1";
 
-Status ReadCode(std::istream* in, std::string* code) {
-  std::string tag;
-  size_t len = 0;
-  if (!(*in >> tag >> len) || tag != "code") {
-    return Status::IoError("snapshot: malformed code record");
-  }
-  in->get();  // the '\n' after the length
-  code->resize(len);
-  if (len > 0) in->read(code->data(), static_cast<std::streamsize>(len));
-  if (!in->good() || in->get() != '\n') {
-    return Status::IoError("snapshot: truncated code payload");
-  }
-  return Status::OK();
-}
+// The fewest bytes one "code <len>\n<bytes>\n" record takes.
+constexpr size_t kMinCodeRecordBytes = 8;
 
 }  // namespace
 
-Status WriteStreamSnapshot(const StreamGvexSnapshot& snap, std::ostream* out) {
-  SetMaxPrecision(out);
-  (*out) << kMagic << "\n";
-  (*out) << "state " << (snap.in_progress ? 1 : 0) << " " << snap.label << " "
-         << snap.graphs_done << "\n";
-  (*out) << "stats " << snap.stats.nodes_processed << " "
-         << snap.stats.accepts << " " << snap.stats.swaps << " "
-         << snap.stats.skips << " " << snap.stats.everify_calls << " "
-         << snap.stats.graphs_explained << " " << snap.stats.graphs_infeasible
-         << "\n";
-  (*out) << "view " << snap.partial.label << " " << snap.partial.explainability
-         << " " << snap.partial.subgraphs.size() << " "
-         << snap.partial.patterns.size() << "\n";
+Status WriteStreamSnapshot(const StreamGvexSnapshot& snap, TextWriter* out) {
+  *out << kMagic << "\n";
+  *out << "state " << (snap.in_progress ? 1 : 0) << " " << snap.label << " "
+       << snap.graphs_done << "\n";
+  *out << "stats " << snap.stats.nodes_processed << " " << snap.stats.accepts
+       << " " << snap.stats.swaps << " " << snap.stats.skips << " "
+       << snap.stats.everify_calls << " " << snap.stats.graphs_explained << " "
+       << snap.stats.graphs_infeasible << "\n";
+  *out << "view " << snap.partial.label << " " << snap.partial.explainability
+       << " " << snap.partial.subgraphs.size() << " "
+       << snap.partial.patterns.size() << "\n";
   for (const auto& sub : snap.partial.subgraphs) {
     GVEX_RETURN_NOT_OK(WriteExplanationSubgraph(sub, out));
   }
   for (const auto& p : snap.partial.patterns) {
     GVEX_RETURN_NOT_OK(WriteGraph(p, out));
   }
-  (*out) << "patterns " << snap.patterns.size() << "\n";
+  *out << "patterns " << snap.patterns.size() << "\n";
   for (const auto& p : snap.patterns) {
     GVEX_RETURN_NOT_OK(WriteGraph(p, out));
   }
@@ -59,17 +42,17 @@ Status WriteStreamSnapshot(const StreamGvexSnapshot& snap, std::ostream* out) {
   // all that matters to the solver.
   std::vector<std::string> codes = snap.codes;
   std::sort(codes.begin(), codes.end());
-  (*out) << "codes " << codes.size() << "\n";
+  *out << "codes " << codes.size() << "\n";
   for (const auto& c : codes) {
-    (*out) << "code " << c.size() << "\n" << c << "\n";
+    *out << "code ";
+    out->Blob(c);
   }
-  (*out) << "end\n";
-  if (!out->good()) return Status::IoError("snapshot write failed");
+  *out << "end\n";
   return Status::OK();
 }
 
-Result<StreamGvexSnapshot> ReadStreamSnapshot(std::istream* in) {
-  std::string word;
+Result<StreamGvexSnapshot> ReadStreamSnapshot(TextReader* in) {
+  std::string_view word;
   if (!(*in >> word) || word != kMagic) {
     return Status::IoError("snapshot: bad magic");
   }
@@ -92,12 +75,16 @@ Result<StreamGvexSnapshot> ReadStreamSnapshot(std::istream* in) {
       word != "view") {
     return Status::IoError("snapshot: malformed view record");
   }
+  GVEX_RETURN_NOT_OK(
+      in->CheckCount(nsubs, kMinSubgraphRecordBytes, "snapshot subgraph"));
   snap.partial.subgraphs.reserve(nsubs);
   for (size_t i = 0; i < nsubs; ++i) {
     GVEX_ASSIGN_OR_RETURN(ExplanationSubgraph sub,
                           ReadExplanationSubgraph(in));
     snap.partial.subgraphs.push_back(std::move(sub));
   }
+  GVEX_RETURN_NOT_OK(
+      in->CheckCount(nvpats, kMinGraphRecordBytes, "snapshot view pattern"));
   snap.partial.patterns.reserve(nvpats);
   for (size_t i = 0; i < nvpats; ++i) {
     GVEX_ASSIGN_OR_RETURN(Graph p, ReadGraph(in));
@@ -107,6 +94,8 @@ Result<StreamGvexSnapshot> ReadStreamSnapshot(std::istream* in) {
   if (!(*in >> word >> npats) || word != "patterns") {
     return Status::IoError("snapshot: malformed patterns record");
   }
+  GVEX_RETURN_NOT_OK(
+      in->CheckCount(npats, kMinGraphRecordBytes, "snapshot pattern"));
   snap.patterns.reserve(npats);
   for (size_t i = 0; i < npats; ++i) {
     GVEX_ASSIGN_OR_RETURN(Graph p, ReadGraph(in));
@@ -116,11 +105,18 @@ Result<StreamGvexSnapshot> ReadStreamSnapshot(std::istream* in) {
   if (!(*in >> word >> ncodes) || word != "codes") {
     return Status::IoError("snapshot: malformed codes record");
   }
+  GVEX_RETURN_NOT_OK(
+      in->CheckCount(ncodes, kMinCodeRecordBytes, "snapshot code"));
   snap.codes.reserve(ncodes);
   for (size_t i = 0; i < ncodes; ++i) {
-    std::string code;
-    GVEX_RETURN_NOT_OK(ReadCode(in, &code));
-    snap.codes.push_back(std::move(code));
+    std::string_view code;
+    if (!(*in >> word) || word != "code") {
+      return Status::IoError("snapshot: malformed code record");
+    }
+    if (!in->Blob(&code)) {
+      return Status::IoError("snapshot: truncated code payload");
+    }
+    snap.codes.emplace_back(code);
   }
   if (!(*in >> word) || word != "end") {
     return Status::IoError("snapshot: missing end marker");

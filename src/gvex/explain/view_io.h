@@ -7,16 +7,16 @@
 // SaveViewSet is atomic (temp + rename) and retries transient IO errors.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 
 #include "gvex/common/result.h"
+#include "gvex/common/text_codec.h"
 #include "gvex/explain/view.h"
 
 namespace gvex {
 
-Status WriteViewSet(const ExplanationViewSet& set, std::ostream* out);
-Result<ExplanationViewSet> ReadViewSet(std::istream* in);
+Status WriteViewSet(const ExplanationViewSet& set, TextWriter* out);
+Result<ExplanationViewSet> ReadViewSet(TextReader* in);
 
 Status SaveViewSet(const ExplanationViewSet& set, const std::string& path);
 Result<ExplanationViewSet> LoadViewSet(const std::string& path);
@@ -24,7 +24,11 @@ Result<ExplanationViewSet> LoadViewSet(const std::string& path);
 /// One "sub ..." record (node list + induced subgraph). Shared with the
 /// checkpoint journal so a journaled subgraph restores bit-exactly.
 Status WriteExplanationSubgraph(const ExplanationSubgraph& sub,
-                                std::ostream* out);
-Result<ExplanationSubgraph> ReadExplanationSubgraph(std::istream* in);
+                                TextWriter* out);
+Result<ExplanationSubgraph> ReadExplanationSubgraph(TextReader* in);
+
+/// The fewest bytes one "sub" record takes ("sub 0 0 0\n" plus a graph
+/// record), for bounding a count of subgraphs by the bytes left.
+inline constexpr size_t kMinSubgraphRecordBytes = 36;
 
 }  // namespace gvex

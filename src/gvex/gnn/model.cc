@@ -323,6 +323,30 @@ std::vector<const Matrix*> GcnClassifier::Parameters() const {
   return params;
 }
 
+Status GcnClassifier::CheckParameterShapes(
+    const GcnConfig& config,
+    const std::vector<std::pair<size_t, size_t>>& shapes) {
+  const size_t layers = config.num_layers;
+  if (shapes.size() % 2 != 0 || shapes.size() < 2 ||
+      (shapes.size() - 2) / 2 != layers) {
+    return Status::IoError("model tensor count mismatch");
+  }
+  for (size_t i = 0; i < shapes.size(); ++i) {
+    std::pair<size_t, size_t> want;
+    if (i < layers) {  // conv weight i
+      want = {i == 0 ? config.input_dim : config.hidden_dim, config.hidden_dim};
+    } else if (i < 2 * layers) {  // conv bias
+      want = {1, config.hidden_dim};
+    } else if (i == 2 * layers) {
+      want = {config.hidden_dim, config.num_classes};
+    } else {
+      want = {1, config.num_classes};
+    }
+    if (shapes[i] != want) return Status::IoError("model tensor shape mismatch");
+  }
+  return Status::OK();
+}
+
 std::vector<Matrix*> GcnClassifier::GradientSlots(GcnGradients* grads) {
   std::vector<Matrix*> slots;
   for (auto& w : grads->conv_weights) slots.push_back(&w);

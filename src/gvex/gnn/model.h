@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "gvex/common/result.h"
@@ -138,6 +139,13 @@ class GcnClassifier {
   /// Flat views of parameters/gradients for the optimizer.
   std::vector<Matrix*> MutableParameters();
   std::vector<const Matrix*> Parameters() const;
+
+  /// OK if `shapes` are the (rows, cols) of the parameters Create(config)
+  /// builds, in Parameters() order; IoError otherwise. Loaders check a
+  /// payload's tensors with it before Create allocates from the config.
+  static Status CheckParameterShapes(
+      const GcnConfig& config,
+      const std::vector<std::pair<size_t, size_t>>& shapes);
   static std::vector<Matrix*> GradientSlots(GcnGradients* grads);
 
   static constexpr ClassLabel kNoLabel = -1;

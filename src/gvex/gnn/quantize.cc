@@ -2,9 +2,9 @@
 
 #include <cmath>
 #include <cstring>
-#include <sstream>
 
 #include "gvex/common/io_util.h"
+#include "gvex/gnn/serialize.h"
 
 namespace gvex {
 
@@ -12,34 +12,6 @@ namespace {
 
 constexpr const char* kMagic = "gvexgcnq-v1";
 constexpr const char* kEndTag = "gvexgcnq-end";
-
-// Mirrors the gvexgcn-v2 config line (serialize.cc); kept in sync by the
-// quantize round-trip tests, which push a config through both paths.
-void WriteConfigLine(const GcnConfig& c, std::ostream* out) {
-  (*out) << c.input_dim << " " << c.hidden_dim << " " << c.num_layers << " "
-         << c.num_classes << " " << c.seed << " " << c.edge_type_weights.size();
-  for (float w : c.edge_type_weights) (*out) << " " << w;
-  (*out) << " " << static_cast<int>(c.propagation) << "\n";
-}
-
-Status ReadConfigLine(std::istream* in, GcnConfig* config) {
-  size_t num_edge_weights = 0;
-  if (!((*in) >> config->input_dim >> config->hidden_dim >>
-        config->num_layers >> config->num_classes >> config->seed >>
-        num_edge_weights)) {
-    return Status::IoError("bad quantized model config");
-  }
-  config->edge_type_weights.resize(num_edge_weights);
-  for (float& w : config->edge_type_weights) {
-    if (!((*in) >> w)) return Status::IoError("bad edge weight");
-  }
-  int propagation = 0;
-  if (!((*in) >> propagation) || propagation < 0 || propagation > 2) {
-    return Status::IoError("bad propagation kind");
-  }
-  config->propagation = static_cast<Graph::PropagationKind>(propagation);
-  return Status::OK();
-}
 
 }  // namespace
 
@@ -201,22 +173,19 @@ Result<GcnClassifier> DequantizeModel(const QuantizedModel& qm) {
   return model;
 }
 
-Status WriteQuantizedModel(const QuantizedModel& qm, std::ostream* out) {
+Status WriteQuantizedModel(const QuantizedModel& qm, TextWriter* out) {
   if (qm.precision == WeightPrecision::kFp32) {
     return Status::InvalidArgument("quantized payload cannot be fp32");
   }
-  SetMaxPrecision(out);
-  (*out) << kMagic << "\n" << (1 + qm.tensors.size()) << "\n";
+  *out << kMagic << "\n" << (1 + qm.tensors.size()) << "\n";
   {
-    std::ostringstream rec;
-    SetMaxPrecision(&rec);
+    TextWriter rec;
     rec << WeightPrecisionName(qm.precision) << "\n";
-    WriteConfigLine(qm.config, &rec);
-    GVEX_RETURN_NOT_OK(WriteSection(out, rec.str()));
+    WriteGcnConfig(qm.config, &rec);
+    WriteSection(out, rec.str());
   }
   for (const QuantizedTensor& t : qm.tensors) {
-    std::ostringstream rec;
-    SetMaxPrecision(&rec);
+    TextWriter rec;
     rec << t.rows << " " << t.cols;
     if (t.precision == WeightPrecision::kFp16) {
       for (uint16_t h : t.fp16) rec << " " << h;
@@ -225,26 +194,27 @@ Status WriteQuantizedModel(const QuantizedModel& qm, std::ostream* out) {
       for (int8_t q : t.int8) rec << " " << static_cast<int>(q);
     }
     rec << "\n";
-    GVEX_RETURN_NOT_OK(WriteSection(out, rec.str()));
+    WriteSection(out, rec.str());
   }
-  (*out) << kEndTag << " " << (1 + qm.tensors.size()) << "\n";
-  if (!out->good()) return Status::IoError("quantized model write failed");
+  *out << kEndTag << " " << (1 + qm.tensors.size()) << "\n";
   return Status::OK();
 }
 
-Result<QuantizedModel> ReadQuantizedModel(std::istream* in) {
-  std::string magic;
-  if (!((*in) >> magic) || magic != kMagic) {
+Result<QuantizedModel> ReadQuantizedModel(TextReader* in) {
+  std::string_view magic;
+  if (!(*in >> magic) || magic != kMagic) {
     return Status::IoError("bad quantized model magic");
   }
   size_t num_sections = 0;
-  if (!((*in) >> num_sections) || num_sections == 0) {
+  if (!(*in >> num_sections) || num_sections == 0) {
     return Status::IoError("bad quantized model section count");
   }
+  GVEX_RETURN_NOT_OK(in->CheckCount(num_sections, kMinSectionBytes,
+                                    "quantized model section"));
   QuantizedModel qm;
   {
-    GVEX_ASSIGN_OR_RETURN(std::string payload, ReadSection(in));
-    std::istringstream rec(payload);
+    GVEX_ASSIGN_OR_RETURN(std::string_view payload, ReadSection(in));
+    TextReader rec(payload);
     std::string precision_name;
     if (!(rec >> precision_name)) {
       return Status::IoError("bad quantized model precision");
@@ -253,16 +223,20 @@ Result<QuantizedModel> ReadQuantizedModel(std::istream* in) {
     if (qm.precision == WeightPrecision::kFp32) {
       return Status::IoError("quantized payload declares fp32");
     }
-    GVEX_RETURN_NOT_OK(ReadConfigLine(&rec, &qm.config));
+    GVEX_RETURN_NOT_OK(ReadGcnConfig(&rec, &qm.config));
   }
+  std::vector<std::pair<size_t, size_t>> shapes;
   for (size_t i = 0; i + 1 < num_sections; ++i) {
-    GVEX_ASSIGN_OR_RETURN(std::string payload, ReadSection(in));
-    std::istringstream rec(payload);
+    GVEX_ASSIGN_OR_RETURN(std::string_view payload, ReadSection(in));
+    TextReader rec(payload);
     QuantizedTensor t;
     t.precision = qm.precision;
     if (!(rec >> t.rows >> t.cols)) {
       return Status::IoError("bad quantized tensor shape");
     }
+    // A value or a scale takes at least 2 bytes (" 0").
+    GVEX_RETURN_NOT_OK(
+        rec.CheckGrid(t.rows, t.cols, 2, "quantized tensor value"));
     const size_t count = t.rows * t.cols;
     if (t.precision == WeightPrecision::kFp16) {
       t.fp16.resize(count);
@@ -274,6 +248,7 @@ Result<QuantizedModel> ReadQuantizedModel(std::istream* in) {
         h = static_cast<uint16_t>(v);
       }
     } else {
+      GVEX_RETURN_NOT_OK(rec.CheckCount(t.rows, 2, "int8 tensor scale"));
       t.scales.resize(t.rows);
       for (float& s : t.scales) {
         if (!(rec >> s)) return Status::IoError("bad int8 tensor scale");
@@ -287,11 +262,15 @@ Result<QuantizedModel> ReadQuantizedModel(std::istream* in) {
         q = static_cast<int8_t>(v);
       }
     }
+    shapes.emplace_back(t.rows, t.cols);
     qm.tensors.push_back(std::move(t));
   }
-  std::string tag;
+  // DequantizeModel creates a model from the config: it must not size
+  // more than the tensors read here.
+  GVEX_RETURN_NOT_OK(GcnClassifier::CheckParameterShapes(qm.config, shapes));
+  std::string_view tag;
   size_t n_end = 0;
-  if (!((*in) >> tag >> n_end) || tag != kEndTag || n_end != num_sections) {
+  if (!(*in >> tag >> n_end) || tag != kEndTag || n_end != num_sections) {
     return Status::IoError("quantized model end marker missing");
   }
   return qm;

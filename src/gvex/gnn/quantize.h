@@ -30,11 +30,11 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
 #include "gvex/common/result.h"
+#include "gvex/common/text_codec.h"
 #include "gvex/gnn/model.h"
 
 namespace gvex {
@@ -90,7 +90,7 @@ float QuantizationErrorBound(const QuantizedTensor& t);
 // Sectioned serialization (gvexgcnq-v1): magic, section count, config
 // section, one CRC section per tensor, end marker — the gvexgcn-v2
 // framing with quantized payloads.
-Status WriteQuantizedModel(const QuantizedModel& qm, std::ostream* out);
-Result<QuantizedModel> ReadQuantizedModel(std::istream* in);
+Status WriteQuantizedModel(const QuantizedModel& qm, TextWriter* out);
+Result<QuantizedModel> ReadQuantizedModel(TextReader* in);
 
 }  // namespace gvex

@@ -7,21 +7,25 @@
 // IO errors.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 
 #include "gvex/common/result.h"
+#include "gvex/common/text_codec.h"
 #include "gvex/gnn/model.h"
 
 namespace gvex {
 
 class GcnSerializer {
  public:
-  static Status Write(const GcnClassifier& model, std::ostream* out);
-  static Result<GcnClassifier> Read(std::istream* in);
+  static Status Write(const GcnClassifier& model, TextWriter* out);
+  static Result<GcnClassifier> Read(TextReader* in);
 
   static Status Save(const GcnClassifier& model, const std::string& path);
   static Result<GcnClassifier> Load(const std::string& path);
 };
+
+/// The config line of gvexgcn-v2 and gvexgcnq-v1 (gnn/quantize.h).
+void WriteGcnConfig(const GcnConfig& config, TextWriter* out);
+Status ReadGcnConfig(TextReader* in, GcnConfig* config);
 
 }  // namespace gvex

@@ -1,7 +1,5 @@
 #include "gvex/ingest/journal.h"
 
-#include <sstream>
-
 #include "gvex/common/failpoint.h"
 #include "gvex/common/io_util.h"
 #include "gvex/common/logging.h"
@@ -23,29 +21,29 @@ Result<std::unique_ptr<IngestJournal>> IngestJournal::Open(
 
   bool have_valid_file = false;
   if (resume) {
-    std::ifstream in(path);
-    if (in.is_open()) {
-      std::string magic;
+    // A journal that cannot be read is treated like a missing one.
+    Result<std::string> bytes = ReadFile(path);
+    if (bytes.ok()) {
+      TextReader in(*bytes);
+      std::string_view magic;
       if (!(in >> magic) || magic != kMagic) {
         return Status::IoError("ingest journal " + path + " has a bad magic");
       }
       have_valid_file = true;
       IngestReplay& replay = journal->replay_;
-      for (;;) {
-        Result<std::string> payload = ReadSection(&in);
+      while (!in.AtEnd()) {
+        Result<std::string_view> payload = ReadSection(&in);
         if (!payload.ok()) {
-          // EOF is the normal end; anything else is a torn tail from a
-          // crash mid-append — keep the valid prefix, drop the rest.
-          if (!in.eof()) {
-            GVEX_LOG(Warning)
-                << "ingest journal " << path << ": discarding corrupt tail ("
-                << payload.status().ToString() << ") after "
-                << replay.graphs.size() << " graph records";
-          }
+          // A torn tail from a crash mid-append: keep the valid prefix,
+          // drop the rest.
+          GVEX_LOG(Warning)
+              << "ingest journal " << path << ": discarding corrupt tail ("
+              << payload.status().ToString() << ") after "
+              << replay.graphs.size() << " graph records";
           break;
         }
-        std::istringstream rec(*payload);
-        std::string tag;
+        TextReader rec(*payload);
+        std::string_view tag;
         if (!(rec >> tag)) break;
         if (tag == "graph") {
           IngestRecord r;
@@ -106,8 +104,11 @@ Result<std::unique_ptr<IngestJournal>> IngestJournal::Open(
   return journal;
 }
 
-Status IngestJournal::AppendLocked(const std::string& record) {
-  GVEX_RETURN_NOT_OK(WriteSection(out_.get(), record));
+Status IngestJournal::AppendLocked(const TextWriter& record) {
+  TextWriter section;
+  WriteSection(&section, record.str());
+  out_->write(section.str().data(),
+              static_cast<std::streamsize>(section.str().size()));
   out_->flush();
   if (!out_->good()) {
     return Status::IoError("ingest journal append to " + path_ + " failed");
@@ -122,12 +123,11 @@ Status IngestJournal::AppendGraph(uint64_t seq, uint64_t client_id,
   GVEX_FAILPOINT_RETURN("ingest.journal_append");
   GVEX_COUNTER_INC("ingest.journal_appends");
   GVEX_LATENCY_US("ingest.journal_append_us");
-  std::ostringstream rec;
-  SetMaxPrecision(&rec);
+  TextWriter rec;
   rec << "graph " << seq << " " << client_id << " " << label << "\n";
   GVEX_RETURN_NOT_OK(WriteGraph(g, &rec));
   std::lock_guard<std::mutex> lock(mu_);
-  return AppendLocked(rec.str());
+  return AppendLocked(rec);
 }
 
 Status IngestJournal::AppendCheckpoint(uint64_t seq, ClassLabel label,
@@ -135,12 +135,11 @@ Status IngestJournal::AppendCheckpoint(uint64_t seq, ClassLabel label,
   GVEX_FAILPOINT_RETURN("ingest.journal_append");
   GVEX_COUNTER_INC("ingest.checkpoints");
   GVEX_LATENCY_US("ingest.checkpoint_us");
-  std::ostringstream rec;
-  SetMaxPrecision(&rec);
+  TextWriter rec;
   rec << "ckpt " << seq << " " << label << "\n";
   GVEX_RETURN_NOT_OK(WriteStreamSnapshot(snap, &rec));
   std::lock_guard<std::mutex> lock(mu_);
-  return AppendLocked(rec.str());
+  return AppendLocked(rec);
 }
 
 }  // namespace ingest

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "gvex/common/result.h"
+#include "gvex/common/text_codec.h"
 #include "gvex/explain/stream_gvex.h"
 #include "gvex/graph/graph.h"
 
@@ -79,7 +80,7 @@ class IngestJournal {
  private:
   IngestJournal() = default;
 
-  Status AppendLocked(const std::string& record);
+  Status AppendLocked(const TextWriter& record);
 
   mutable std::mutex mu_;
   std::string path_;

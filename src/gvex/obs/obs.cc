@@ -269,8 +269,8 @@ std::string ChromeTraceJson(const std::vector<TraceEvent>& events) {
 Status WriteChromeTrace(const std::string& path) {
   GVEX_FAILPOINT_RETURN("obs.trace_save");
   std::string json = ChromeTraceJson(Registry::Global().TraceEvents());
-  return AtomicSave(path, [&](std::ostream* out) -> Status {
-    (*out) << json;
+  return AtomicSave(path, [&](TextWriter* out) -> Status {
+    *out << json;
     return Status::OK();
   });
 }

@@ -124,8 +124,8 @@ std::string PerfReport::ToJson() const {
 Status PerfReport::WriteJson(const std::string& path) const {
   GVEX_FAILPOINT_RETURN("obs.report_save");
   std::string json = ToJson();
-  return AtomicSave(path, [&](std::ostream* out) -> Status {
-    (*out) << json << "\n";
+  return AtomicSave(path, [&](TextWriter* out) -> Status {
+    *out << json << "\n";
     return Status::OK();
   });
 }

@@ -1,10 +1,9 @@
 #include "gvex/serve/protocol.h"
 
 #include <algorithm>
-#include <sstream>
 
 #include "gvex/common/checksum.h"
-#include "gvex/common/io_util.h"
+#include "gvex/common/text_codec.h"
 #include "gvex/graph/graph_io.h"
 
 namespace gvex {
@@ -19,44 +18,56 @@ constexpr const char* kRespTag = "resp";
 // Free-form strings (error messages, stats JSON, ping payloads) are
 // length-prefixed so arbitrary bytes survive the line-oriented body:
 //   str <tag> <len>\n<len bytes>\n
-void WriteBlob(std::ostream* out, const char* tag, const std::string& s) {
-  (*out) << "str " << tag << " " << s.size() << "\n" << s << "\n";
+void WriteBlob(TextWriter* out, const char* tag, const std::string& s) {
+  *out << "str " << tag << " ";
+  out->Blob(s);
 }
 
-Status ReadBlob(std::istream* in, const char* tag, std::string* out) {
-  std::string kw, got_tag;
-  size_t len = 0;
-  if (!((*in) >> kw >> got_tag >> len) || kw != "str" || got_tag != tag) {
+Status ReadBlob(TextReader* in, const char* tag, std::string* out) {
+  std::string_view kw, got_tag, bytes;
+  if (!(*in >> kw >> got_tag) || kw != "str" || got_tag != tag) {
     return Status::IoError(std::string("bad blob header for ") + tag);
   }
-  if (len > kMaxFrameBytes) {
-    return Status::IoError("blob length exceeds frame cap");
-  }
-  in->get();  // the \n after the length
-  out->resize(len);
-  if (len > 0 && !in->read(out->data(), static_cast<std::streamsize>(len))) {
+  if (!in->Blob(&bytes)) {
     return Status::IoError(std::string("short blob for ") + tag);
   }
+  out->assign(bytes);
   return Status::OK();
 }
 
-Status ExpectWord(std::istream* in, const char* want) {
-  std::string got;
-  if (!((*in) >> got) || got != want) {
+Status ExpectWord(TextReader* in, const char* want) {
+  std::string_view got;
+  if (!(*in >> got) || got != want) {
     return Status::IoError(std::string("expected '") + want + "', got '" +
-                           got + "'");
+                           std::string(got) + "'");
   }
   return Status::OK();
 }
 
 template <typename T>
-Status ReadField(std::istream* in, const char* key, T* out) {
+Status ReadField(TextReader* in, const char* key, T* out) {
   GVEX_RETURN_NOT_OK(ExpectWord(in, key));
-  if (!((*in) >> *out)) {
+  if (!(*in >> *out)) {
     return Status::IoError(std::string("bad value for ") + key);
   }
   return Status::OK();
 }
+
+// A count read from a response row, checked against the bytes left
+// before it sizes anything.
+Status ReadCount(TextReader* in, const char* key, size_t min_item_bytes,
+                 size_t* n) {
+  GVEX_RETURN_NOT_OK(ReadField(in, key, n));
+  return in->CheckCount(*n, min_item_bytes, key);
+}
+
+// The fewest bytes one response item takes: a number with its separator
+// (" 0"), a hit (" 0 0"), a route or load row ("r 0 0 - 0 0\n") and a
+// coverage row ("0 0 0 0 0 0 0\n").
+constexpr size_t kMinNumberBytes = 2;
+constexpr size_t kMinHitBytes = 4;
+constexpr size_t kMinRouteRowBytes = 12;
+constexpr size_t kMinCoverageRowBytes = 14;
 
 }  // namespace
 
@@ -87,8 +98,7 @@ void RankTopViews(uint32_t top_k, std::vector<ViewCoverage>* rows) {
 }
 
 std::string EncodeRequestBody(const Request& req) {
-  std::ostringstream out;
-  SetMaxPrecision(&out);
+  TextWriter out;
   out << kReqMagic << " " << kReqTag << "\n";
   out << "type " << static_cast<int>(req.type) << "\n";
   out << "id " << req.id << "\n";
@@ -105,14 +115,14 @@ std::string EncodeRequestBody(const Request& req) {
   WriteBlob(&out, "bundle", req.bundle);
   out << "graph " << (req.has_graph ? 1 : 0) << "\n";
   if (req.has_graph) {
-    (void)WriteGraph(req.graph, &out);  // ostringstream writes cannot fail
+    (void)WriteGraph(req.graph, &out);  // only a failpoint fails it
   }
   out << "end\n";
-  return std::move(out).str();
+  return out.Take();
 }
 
 Result<Request> DecodeRequestBody(const std::string& body) {
-  std::istringstream in(body);
+  TextReader in(body);
   GVEX_RETURN_NOT_OK(ExpectWord(&in, kReqMagic));
   GVEX_RETURN_NOT_OK(ExpectWord(&in, kReqTag));
   Request req;
@@ -146,8 +156,7 @@ Result<Request> DecodeRequestBody(const std::string& body) {
 }
 
 std::string EncodeResponseBody(const Response& resp) {
-  std::ostringstream out;
-  SetMaxPrecision(&out);
+  TextWriter out;
   out << kReqMagic << " " << kRespTag << "\n";
   out << "id " << resp.id << "\n";
   out << "code " << static_cast<int>(resp.code) << "\n";
@@ -161,8 +170,9 @@ std::string EncodeResponseBody(const Response& resp) {
   for (uint64_t i : resp.indices) out << " " << i;
   out << "\n";
   out << "hits " << resp.hits.size();
-  for (const auto& h : resp.hits) out << " " << h.graph_index << " "
-                                      << h.embeddings;
+  for (const auto& h : resp.hits) {
+    out << " " << h.graph_index << " " << h.embeddings;
+  }
   out << "\n";
   out << "patterns " << resp.patterns.size() << "\n";
   for (const Graph& p : resp.patterns) (void)WriteGraph(p, &out);
@@ -218,11 +228,11 @@ std::string EncodeResponseBody(const Response& resp) {
   out << "scatter " << resp.shards_total << " " << resp.shards_answered
       << "\n";
   out << "end\n";
-  return std::move(out).str();
+  return out.Take();
 }
 
 Result<Response> DecodeResponseBody(const std::string& body) {
-  std::istringstream in(body);
+  TextReader in(body);
   GVEX_RETURN_NOT_OK(ExpectWord(&in, kReqMagic));
   GVEX_RETURN_NOT_OK(ExpectWord(&in, kRespTag));
   Response resp;
@@ -238,40 +248,32 @@ Result<Response> DecodeResponseBody(const std::string& body) {
   GVEX_RETURN_NOT_OK(ReadField(&in, "support", &resp.support));
   GVEX_RETURN_NOT_OK(ReadField(&in, "predicted", &resp.predicted));
   size_t n = 0;
-  GVEX_RETURN_NOT_OK(ReadField(&in, "probs", &n));
-  if (n > kMaxFrameBytes) return Status::IoError("probs count exceeds cap");
+  GVEX_RETURN_NOT_OK(ReadCount(&in, "probs", kMinNumberBytes, &n));
   resp.probabilities.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (!(in >> resp.probabilities[i])) {
-      return Status::IoError("bad probability value");
-    }
+  for (float& p : resp.probabilities) {
+    if (!(in >> p)) return Status::IoError("bad probability value");
   }
-  GVEX_RETURN_NOT_OK(ReadField(&in, "indices", &n));
-  if (n > kMaxFrameBytes) return Status::IoError("indices count exceeds cap");
+  GVEX_RETURN_NOT_OK(ReadCount(&in, "indices", kMinNumberBytes, &n));
   resp.indices.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (!(in >> resp.indices[i])) return Status::IoError("bad index value");
+  for (uint64_t& i : resp.indices) {
+    if (!(in >> i)) return Status::IoError("bad index value");
   }
-  GVEX_RETURN_NOT_OK(ReadField(&in, "hits", &n));
-  if (n > kMaxFrameBytes) return Status::IoError("hits count exceeds cap");
+  GVEX_RETURN_NOT_OK(ReadCount(&in, "hits", kMinHitBytes, &n));
   resp.hits.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (!(in >> resp.hits[i].graph_index >> resp.hits[i].embeddings)) {
+  for (Response::Hit& h : resp.hits) {
+    if (!(in >> h.graph_index >> h.embeddings)) {
       return Status::IoError("bad hit row");
     }
   }
-  GVEX_RETURN_NOT_OK(ReadField(&in, "patterns", &n));
-  if (n > kMaxFrameBytes) return Status::IoError("patterns count exceeds cap");
+  GVEX_RETURN_NOT_OK(ReadCount(&in, "patterns", kMinGraphRecordBytes, &n));
   resp.patterns.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     GVEX_ASSIGN_OR_RETURN(Graph p, ReadGraph(&in));
     resp.patterns.push_back(std::move(p));
   }
-  GVEX_RETURN_NOT_OK(ReadField(&in, "routes", &n));
-  if (n > kMaxFrameBytes) return Status::IoError("routes count exceeds cap");
+  GVEX_RETURN_NOT_OK(ReadCount(&in, "routes", kMinRouteRowBytes, &n));
   resp.routes.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    RouteInfo& r = resp.routes[i];
+  for (RouteInfo& r : resp.routes) {
     int warmed = 0;
     if (!(in >> r.route >> r.generation >> r.source_generation >>
           r.fingerprint >> warmed >> r.warm_pairs)) {
@@ -296,35 +298,28 @@ Result<Response> DecodeResponseBody(const std::string& body) {
     h.serving = serving != 0;
     h.following = following != 0;
     GVEX_RETURN_NOT_OK(ReadBlob(&in, "herror", &h.replication_error));
-    GVEX_RETURN_NOT_OK(ReadField(&in, "loads", &n));
-    if (n > kMaxFrameBytes) return Status::IoError("loads count exceeds cap");
+    GVEX_RETURN_NOT_OK(ReadCount(&in, "loads", kMinRouteRowBytes, &n));
     h.loads.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      RouteLoad& l = h.loads[i];
+    for (RouteLoad& l : h.loads) {
       if (!(in >> l.route >> l.queued >> l.active >> l.quota_depth >>
             l.quota_workers >> l.quota_shed)) {
         return Status::IoError("bad health load row");
       }
     }
   }
-  GVEX_RETURN_NOT_OK(ReadField(&in, "coverage", &n));
-  if (n > kMaxFrameBytes) return Status::IoError("coverage count exceeds cap");
+  GVEX_RETURN_NOT_OK(ReadCount(&in, "coverage", kMinCoverageRowBytes, &n));
   resp.coverage.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    ViewCoverage& c = resp.coverage[i];
+  for (ViewCoverage& c : resp.coverage) {
     size_t gi_count = 0;
     if (!(in >> c.label >> c.patterns >> c.subgraphs >> c.nodes >> c.edges >>
           c.explainability >> gi_count)) {
       return Status::IoError("bad coverage row");
     }
-    if (gi_count > kMaxFrameBytes) {
-      return Status::IoError("coverage graph-id count exceeds cap");
-    }
+    GVEX_RETURN_NOT_OK(
+        in.CheckCount(gi_count, kMinNumberBytes, "coverage graph-id"));
     c.graph_indices.resize(gi_count);
-    for (size_t k = 0; k < gi_count; ++k) {
-      if (!(in >> c.graph_indices[k])) {
-        return Status::IoError("bad coverage graph id");
-      }
+    for (uint64_t& gi : c.graph_indices) {
+      if (!(in >> gi)) return Status::IoError("bad coverage graph id");
     }
   }
   int ingesting = 0;

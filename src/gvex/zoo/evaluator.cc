@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <sstream>
 
-#include "gvex/common/io_util.h"
+#include "gvex/common/text_codec.h"
 #include "gvex/common/stopwatch.h"
 #include "gvex/metrics/metrics.h"
 #include "gvex/zoo/factory.h"
@@ -75,39 +74,34 @@ struct Cursor {
 
 Result<EvalSpec> ParseEvalSpec(const std::string& text) {
   EvalSpec spec;
-  std::istringstream in(text);
-  std::string token;
-  while (in >> token) {
+  TextReader in(text);
+  std::string_view token;
+  while (!in.AtEnd() && in >> token) {
     size_t eq = token.find('=');
-    if (eq == std::string::npos) {
+    if (eq == std::string_view::npos) {
       return Status::InvalidArgument("eval spec: expected key=value, got: " +
-                                     token);
+                                     std::string(token));
     }
-    const std::string key = token.substr(0, eq);
-    const std::string value = token.substr(eq + 1);
+    const std::string key(token.substr(0, eq));
+    const std::string_view value = token.substr(eq + 1);
     if (value.empty()) {
       return Status::InvalidArgument("eval spec: empty value for " + key);
     }
-    char* end = nullptr;
+    bool parsed = true;
     if (key == "dataset") {
       spec.dataset = value;
     } else if (key == "scale") {
-      spec.scale = std::strtod(value.c_str(), &end);
-      if (end == nullptr || *end != '\0') {
-        return Status::InvalidArgument("eval spec: bad scale: " + value);
-      }
+      parsed = ParseNumber(value, &spec.scale);
     } else if (key == "seed") {
-      spec.seed = std::strtoull(value.c_str(), &end, 10);
-      if (end == nullptr || *end != '\0') {
-        return Status::InvalidArgument("eval spec: bad seed: " + value);
-      }
+      parsed = ParseNumber(value, &spec.seed);
     } else if (key == "graphs") {
-      spec.graphs = std::strtoull(value.c_str(), &end, 10);
-      if (end == nullptr || *end != '\0') {
-        return Status::InvalidArgument("eval spec: bad graphs: " + value);
-      }
+      parsed = ParseNumber(value, &spec.graphs);
     } else {
       return Status::InvalidArgument("eval spec: unknown key: " + key);
+    }
+    if (!parsed) {
+      return Status::InvalidArgument("eval spec: bad " + key + ": " +
+                                     std::string(value));
     }
   }
   if (spec.scale <= 0.0 || spec.scale > 1.0) {
@@ -117,16 +111,14 @@ Result<EvalSpec> ParseEvalSpec(const std::string& text) {
 }
 
 std::string EvalSpecToString(const EvalSpec& spec) {
-  std::ostringstream out;
-  SetMaxPrecision(&out);
+  TextWriter out;
   out << "dataset=" << spec.dataset << " scale=" << spec.scale
       << " seed=" << spec.seed << " graphs=" << spec.graphs;
-  return out.str();
+  return out.Take();
 }
 
 std::string ScorecardToJson(const Scorecard& card) {
-  std::ostringstream out;
-  SetMaxPrecision(&out);
+  TextWriter out;
   out << "{\"scorecard\":\"" << kScorecardMarker << "\""
       << ",\"route\":\"" << JsonEscape(card.route) << "\""
       << ",\"kind\":\"" << JsonEscape(card.kind) << "\""
@@ -137,7 +129,7 @@ std::string ScorecardToJson(const Scorecard& card) {
       << ",\"fidelity_minus\":" << card.fidelity_minus
       << ",\"sparsity\":" << card.sparsity
       << ",\"accuracy\":" << card.accuracy << "}";
-  return out.str();
+  return out.Take();
 }
 
 Result<Scorecard> ScorecardFromJson(const std::string& json) {
@@ -187,11 +179,11 @@ Result<Scorecard> ScorecardFromJson(const std::string& json) {
 }
 
 std::string GraphScoreRow(const GraphScore& row) {
-  std::ostringstream out;
+  TextWriter out;
   out << "graph " << row.graph_index << " label " << row.label << " nodes "
       << row.explanation_nodes << " truth " << row.truth_nodes
       << " recovered " << row.recovered;
-  return out.str();
+  return out.Take();
 }
 
 Result<Scorecard> EvaluateRoute(const ExplainerRouteConfig& config,

@@ -67,7 +67,7 @@ struct Scorecard {
 };
 
 /// Canonical one-line JSON: fixed key order, round-trip-exact doubles
-/// (io_util SetMaxPrecision), no whitespace. Equal scorecards encode to
+/// (`%.17g`, text_codec.h), no whitespace. Equal scorecards encode to
 /// equal bytes.
 std::string ScorecardToJson(const Scorecard& card);
 

@@ -1,8 +1,8 @@
 #include "gvex/zoo/zoo.h"
 
-#include <fstream>
 #include <sstream>
 
+#include "gvex/common/io_util.h"
 #include "gvex/obs/obs.h"
 
 namespace gvex {
@@ -41,12 +41,10 @@ Status ZooManager::Configure(std::vector<ExplainerRouteConfig> configs) {
 }
 
 Status ZooManager::ConfigureFromFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("zoo: cannot open " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
+  Result<std::string> text = ReadFile(path);
+  if (!text.ok()) return Status::IoError("zoo: cannot open " + path);
   GVEX_ASSIGN_OR_RETURN(std::vector<ExplainerRouteConfig> configs,
-                        ParseZooArtifact(buf.str()));
+                        ParseZooArtifact(*text));
   return Configure(std::move(configs));
 }
 

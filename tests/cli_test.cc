@@ -218,9 +218,10 @@ TEST(ViewIoTest, RoundTripPreservesStructure) {
   view.subgraphs.push_back(sub);
   set.views.push_back(view);
 
-  std::stringstream ss;
-  ASSERT_TRUE(WriteViewSet(set, &ss).ok());
-  auto back = ReadViewSet(&ss);
+  TextWriter out;
+  ASSERT_TRUE(WriteViewSet(set, &out).ok());
+  TextReader in(out.str());
+  auto back = ReadViewSet(&in);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   ASSERT_EQ(back->views.size(), 1u);
   const ExplanationView& v = back->views[0];
@@ -236,10 +237,10 @@ TEST(ViewIoTest, RoundTripPreservesStructure) {
 }
 
 TEST(ViewIoTest, RejectsCorruptInput) {
-  std::stringstream ss("wrong-magic");
-  EXPECT_FALSE(ReadViewSet(&ss).ok());
-  std::stringstream ss2("gvexviews-v1 1 notaview");
-  EXPECT_FALSE(ReadViewSet(&ss2).ok());
+  TextReader in("wrong-magic");
+  EXPECT_FALSE(ReadViewSet(&in).ok());
+  TextReader in2("gvexviews-v1 1 notaview");
+  EXPECT_FALSE(ReadViewSet(&in2).ok());
 }
 
 }  // namespace

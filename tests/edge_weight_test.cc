@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 
 #include "gvex/gnn/serialize.h"
 #include "gvex/graph/graph.h"
@@ -90,9 +89,10 @@ TEST(EdgeWeightTest, WeightsSurviveSerialization) {
   cfg.edge_type_weights = {1.0f, 2.5f, 0.5f};
   auto model = GcnClassifier::Create(cfg);
   ASSERT_TRUE(model.ok());
-  std::stringstream ss;
-  ASSERT_TRUE(GcnSerializer::Write(*model, &ss).ok());
-  auto loaded = GcnSerializer::Read(&ss);
+  TextWriter out;
+  ASSERT_TRUE(GcnSerializer::Write(*model, &out).ok());
+  TextReader in(out.str());
+  auto loaded = GcnSerializer::Read(&in);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ASSERT_EQ(loaded->config().edge_type_weights.size(), 3u);
   EXPECT_FLOAT_EQ(loaded->config().edge_type_weights[1], 2.5f);

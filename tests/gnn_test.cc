@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 
 #include "gvex/common/rng.h"
 #include "gvex/gnn/model.h"
@@ -276,9 +275,10 @@ TEST(SerializeTest, ModelRoundTripPreservesOutputs) {
   Graph g = MakeTriangle();
   auto before = model->PredictProba(g);
 
-  std::stringstream ss;
-  ASSERT_TRUE(GcnSerializer::Write(*model, &ss).ok());
-  auto loaded = GcnSerializer::Read(&ss);
+  TextWriter out;
+  ASSERT_TRUE(GcnSerializer::Write(*model, &out).ok());
+  TextReader in(out.str());
+  auto loaded = GcnSerializer::Read(&in);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   auto after = loaded->PredictProba(g);
   ASSERT_EQ(before.size(), after.size());
@@ -288,8 +288,8 @@ TEST(SerializeTest, ModelRoundTripPreservesOutputs) {
 }
 
 TEST(SerializeTest, RejectsCorruptModel) {
-  std::stringstream ss("wrong-magic 1 2 3");
-  EXPECT_FALSE(GcnSerializer::Read(&ss).ok());
+  TextReader in("wrong-magic 1 2 3");
+  EXPECT_FALSE(GcnSerializer::Read(&in).ok());
 }
 
 }  // namespace

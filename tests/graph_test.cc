@@ -2,7 +2,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 
 #include "gvex/graph/graph.h"
 #include "gvex/graph/graph_db.h"
@@ -185,9 +184,10 @@ TEST(GraphIoTest, GraphRoundTrip) {
   Graph g = MakePath4();
   g.SetDefaultFeatures(2, 0.25f);
   g.mutable_features().At(3, 1) = -1.5f;
-  std::stringstream ss;
-  ASSERT_TRUE(WriteGraph(g, &ss).ok());
-  auto back = ReadGraph(&ss);
+  TextWriter out;
+  ASSERT_TRUE(WriteGraph(g, &out).ok());
+  TextReader in(out.str());
+  auto back = ReadGraph(&in);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(back->num_nodes(), 4u);
   EXPECT_EQ(back->num_edges(), 3u);
@@ -203,9 +203,10 @@ TEST(GraphIoTest, DatabaseRoundTrip) {
     g.SetDefaultFeatures(1, static_cast<float>(i));
     db.Add(std::move(g), i, "graph_" + std::to_string(i));
   }
-  std::stringstream ss;
-  ASSERT_TRUE(WriteDatabase(db, &ss).ok());
-  auto back = ReadDatabase(&ss);
+  TextWriter out;
+  ASSERT_TRUE(WriteDatabase(db, &out).ok());
+  TextReader in(out.str());
+  auto back = ReadDatabase(&in);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(back->size(), 3u);
   EXPECT_EQ(back->label(2), 2);
@@ -214,10 +215,10 @@ TEST(GraphIoTest, DatabaseRoundTrip) {
 }
 
 TEST(GraphIoTest, RejectsCorruptInput) {
-  std::stringstream ss("not-a-graph 1 2 3");
-  EXPECT_FALSE(ReadGraph(&ss).ok());
-  std::stringstream ss2("gvexdb-v1 oops");
-  EXPECT_FALSE(ReadDatabase(&ss2).ok());
+  TextReader in("not-a-graph 1 2 3");
+  EXPECT_FALSE(ReadGraph(&in).ok());
+  TextReader in2("gvexdb-v1 oops");
+  EXPECT_FALSE(ReadDatabase(&in2).ok());
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 #include <fstream>
 #include <future>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -65,9 +64,9 @@ serve::Request GraphReq(const Graph& g, ClassLabel label, uint64_t id) {
 }
 
 std::string SnapshotBytes(const StreamGvex& solver) {
-  std::ostringstream out;
+  TextWriter out;
   EXPECT_TRUE(WriteStreamSnapshot(solver.Snapshot(), &out).ok());
-  return out.str();
+  return out.Take();
 }
 
 // ---- snapshot serialization -------------------------------------------------
@@ -83,7 +82,7 @@ TEST(SnapshotIoTest, RoundTripIsByteStable) {
   const std::string bytes = SnapshotBytes(solver);
   ASSERT_FALSE(bytes.empty());
 
-  std::istringstream in(bytes);
+  TextReader in(bytes);
   auto read = ReadStreamSnapshot(&in);
   ASSERT_TRUE(read.ok()) << read.status().ToString();
 
@@ -95,7 +94,7 @@ TEST(SnapshotIoTest, RoundTripIsByteStable) {
 }
 
 TEST(SnapshotIoTest, RejectsCorruptHeader) {
-  std::istringstream in("not-a-snapshot\n");
+  TextReader in("not-a-snapshot\n");
   EXPECT_FALSE(ReadStreamSnapshot(&in).ok());
 }
 

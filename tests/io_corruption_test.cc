@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <functional>
-#include <sstream>
 #include <string>
 
 #include "gvex/cluster/bundle.h"
@@ -74,27 +73,27 @@ GcnClassifier SmallModel() {
 using RoundTripFn = std::function<Result<std::string>(const std::string&)>;
 
 Result<std::string> RoundTripDb(const std::string& bytes) {
-  std::istringstream in(bytes);
+  TextReader in(bytes);
   GVEX_ASSIGN_OR_RETURN(GraphDatabase db, ReadDatabase(&in));
-  std::ostringstream out;
+  TextWriter out;
   GVEX_RETURN_NOT_OK(WriteDatabase(db, &out));
-  return out.str();
+  return out.Take();
 }
 
 Result<std::string> RoundTripViews(const std::string& bytes) {
-  std::istringstream in(bytes);
+  TextReader in(bytes);
   GVEX_ASSIGN_OR_RETURN(ExplanationViewSet set, ReadViewSet(&in));
-  std::ostringstream out;
+  TextWriter out;
   GVEX_RETURN_NOT_OK(WriteViewSet(set, &out));
-  return out.str();
+  return out.Take();
 }
 
 Result<std::string> RoundTripModel(const std::string& bytes) {
-  std::istringstream in(bytes);
+  TextReader in(bytes);
   GVEX_ASSIGN_OR_RETURN(GcnClassifier model, GcnSerializer::Read(&in));
-  std::ostringstream out;
+  TextWriter out;
   GVEX_RETURN_NOT_OK(GcnSerializer::Write(model, &out));
-  return out.str();
+  return out.Take();
 }
 
 // Every strict prefix must fail to load, except when dropping trailing
@@ -125,19 +124,18 @@ void ExpectBitFlipsDetected(const std::string& bytes,
   }
 }
 
-std::string Serialize(const std::function<Status(std::ostream*)>& writer) {
-  std::ostringstream out;
-  SetMaxPrecision(&out);
+std::string Serialize(const std::function<Status(TextWriter*)>& writer) {
+  TextWriter out;
   EXPECT_TRUE(writer(&out).ok());
-  return out.str();
+  return out.Take();
 }
 
 // ---- section framing --------------------------------------------------------
 
 TEST(IoCorruptionTest, SectionRoundTrip) {
-  std::ostringstream out;
-  ASSERT_TRUE(WriteSection(&out, "hello\nworld").ok());
-  std::istringstream in(out.str());
+  TextWriter out;
+  WriteSection(&out, "hello\nworld");
+  TextReader in(out.str());
   auto payload = ReadSection(&in);
   ASSERT_TRUE(payload.ok());
   EXPECT_EQ(*payload, "hello\nworld");
@@ -145,22 +143,22 @@ TEST(IoCorruptionTest, SectionRoundTrip) {
 
 TEST(IoCorruptionTest, SectionRejectsBadFrame) {
   {
-    std::istringstream in("nonsense 11 deadbeef\nhello");
+    TextReader in("nonsense 11 deadbeef\nhello");
     EXPECT_TRUE(ReadSection(&in).status().IsIoError());
   }
   {
     // CRC field must be exactly 8 lowercase hex digits.
-    std::istringstream in("sec 5 zzzzzzzz\nhello");
+    TextReader in("sec 5 zzzzzzzz\nhello");
     EXPECT_TRUE(ReadSection(&in).status().IsIoError());
   }
   {
     // Declared length larger than the remaining bytes: truncation.
-    std::istringstream in("sec 500 00000000\nhello");
+    TextReader in("sec 500 00000000\nhello");
     EXPECT_TRUE(ReadSection(&in).status().IsIoError());
   }
   {
     // Valid frame, wrong checksum.
-    std::istringstream in("sec 5 00000000\nhello");
+    TextReader in("sec 5 00000000\nhello");
     EXPECT_TRUE(ReadSection(&in).status().IsIoError());
   }
 }
@@ -170,7 +168,7 @@ TEST(IoCorruptionTest, SectionRejectsBadFrame) {
 TEST(IoCorruptionTest, DatabaseV2RoundTrip) {
   GraphDatabase db = SmallDb();
   std::string bytes =
-      Serialize([&](std::ostream* out) { return WriteDatabase(db, out); });
+      Serialize([&](TextWriter* out) { return WriteDatabase(db, out); });
   auto loaded = RoundTripDb(bytes);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(*loaded, bytes);
@@ -179,14 +177,14 @@ TEST(IoCorruptionTest, DatabaseV2RoundTrip) {
 TEST(IoCorruptionTest, DatabaseTruncationDetected) {
   GraphDatabase db = SmallDb();
   std::string bytes =
-      Serialize([&](std::ostream* out) { return WriteDatabase(db, out); });
+      Serialize([&](TextWriter* out) { return WriteDatabase(db, out); });
   ExpectTruncationDetected(bytes, RoundTripDb);
 }
 
 TEST(IoCorruptionTest, DatabaseBitFlipsDetected) {
   GraphDatabase db = SmallDb();
   std::string bytes =
-      Serialize([&](std::ostream* out) { return WriteDatabase(db, out); });
+      Serialize([&](TextWriter* out) { return WriteDatabase(db, out); });
   ExpectBitFlipsDetected(bytes, RoundTripDb);
 }
 
@@ -195,7 +193,7 @@ TEST(IoCorruptionTest, DatabaseBitFlipsDetected) {
 TEST(IoCorruptionTest, ViewSetV2RoundTrip) {
   ExplanationViewSet set = SmallViews();
   std::string bytes =
-      Serialize([&](std::ostream* out) { return WriteViewSet(set, out); });
+      Serialize([&](TextWriter* out) { return WriteViewSet(set, out); });
   auto loaded = RoundTripViews(bytes);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(*loaded, bytes);
@@ -204,14 +202,14 @@ TEST(IoCorruptionTest, ViewSetV2RoundTrip) {
 TEST(IoCorruptionTest, ViewSetTruncationDetected) {
   ExplanationViewSet set = SmallViews();
   std::string bytes =
-      Serialize([&](std::ostream* out) { return WriteViewSet(set, out); });
+      Serialize([&](TextWriter* out) { return WriteViewSet(set, out); });
   ExpectTruncationDetected(bytes, RoundTripViews);
 }
 
 TEST(IoCorruptionTest, ViewSetBitFlipsDetected) {
   ExplanationViewSet set = SmallViews();
   std::string bytes =
-      Serialize([&](std::ostream* out) { return WriteViewSet(set, out); });
+      Serialize([&](TextWriter* out) { return WriteViewSet(set, out); });
   ExpectBitFlipsDetected(bytes, RoundTripViews);
 }
 
@@ -220,7 +218,7 @@ TEST(IoCorruptionTest, ViewSetBitFlipsDetected) {
 TEST(IoCorruptionTest, ModelV2RoundTrip) {
   GcnClassifier model = SmallModel();
   std::string bytes = Serialize(
-      [&](std::ostream* out) { return GcnSerializer::Write(model, out); });
+      [&](TextWriter* out) { return GcnSerializer::Write(model, out); });
   auto loaded = RoundTripModel(bytes);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(*loaded, bytes);
@@ -229,14 +227,14 @@ TEST(IoCorruptionTest, ModelV2RoundTrip) {
 TEST(IoCorruptionTest, ModelTruncationDetected) {
   GcnClassifier model = SmallModel();
   std::string bytes = Serialize(
-      [&](std::ostream* out) { return GcnSerializer::Write(model, out); });
+      [&](TextWriter* out) { return GcnSerializer::Write(model, out); });
   ExpectTruncationDetected(bytes, RoundTripModel);
 }
 
 TEST(IoCorruptionTest, ModelBitFlipsDetected) {
   GcnClassifier model = SmallModel();
   std::string bytes = Serialize(
-      [&](std::ostream* out) { return GcnSerializer::Write(model, out); });
+      [&](TextWriter* out) { return GcnSerializer::Write(model, out); });
   ExpectBitFlipsDetected(bytes, RoundTripModel);
 }
 
@@ -326,7 +324,7 @@ TEST(IoCorruptionTest, BundleStitchedFromTwoGenerationsRejected) {
 TEST(IoCorruptionTest, BundleRejectsInvalidRoute) {
   cluster::ViewBundle bundle = SmallBundle(/*with_model=*/false);
   bundle.route = "bad route name";
-  std::ostringstream out;
+  TextWriter out;
   EXPECT_TRUE(cluster::WriteBundle(bundle, &out).IsInvalidArgument());
 }
 
@@ -343,17 +341,17 @@ cluster::ShardMap SmallShardMap() {
 }
 
 Result<std::string> RoundTripShardMap(const std::string& bytes) {
-  std::istringstream in(bytes);
+  TextReader in(bytes);
   GVEX_ASSIGN_OR_RETURN(cluster::ShardMap map, cluster::ShardMap::Read(&in));
-  std::ostringstream out;
+  TextWriter out;
   GVEX_RETURN_NOT_OK(map.Write(&out));
-  return out.str();
+  return out.Take();
 }
 
 TEST(IoCorruptionTest, ShardMapRoundTrip) {
   cluster::ShardMap map = SmallShardMap();
   std::string bytes =
-      Serialize([&](std::ostream* out) { return map.Write(out); });
+      Serialize([&](TextWriter* out) { return map.Write(out); });
   auto again = RoundTripShardMap(bytes);
   ASSERT_TRUE(again.ok()) << again.status().ToString();
   EXPECT_EQ(*again, bytes);
@@ -362,7 +360,7 @@ TEST(IoCorruptionTest, ShardMapRoundTrip) {
 TEST(IoCorruptionTest, ShardMapTruncationDetected) {
   cluster::ShardMap map = SmallShardMap();
   std::string bytes =
-      Serialize([&](std::ostream* out) { return map.Write(out); });
+      Serialize([&](TextWriter* out) { return map.Write(out); });
   ExpectTruncationDetected(bytes, RoundTripShardMap);
 }
 
@@ -372,7 +370,7 @@ TEST(IoCorruptionTest, ShardMapBitFlipsDetected) {
   // or provably benign.
   cluster::ShardMap map = SmallShardMap();
   std::string bytes =
-      Serialize([&](std::ostream* out) { return map.Write(out); });
+      Serialize([&](TextWriter* out) { return map.Write(out); });
   ExpectBitFlipsDetected(bytes, RoundTripShardMap);
 }
 
@@ -380,15 +378,15 @@ TEST(IoCorruptionTest, ShardMapBitFlipsDetected) {
 
 TEST(IoCorruptionTest, EmptyAndGarbageStreamsAreErrors) {
   {
-    std::istringstream in("");
+    TextReader in("");
     EXPECT_FALSE(ReadDatabase(&in).ok());
   }
   {
-    std::istringstream in("not a gvex file at all\n1 2 3\n");
+    TextReader in("not a gvex file at all\n1 2 3\n");
     EXPECT_FALSE(ReadViewSet(&in).ok());
   }
   {
-    std::istringstream in("gvexgcn-v9\n");
+    TextReader in("gvexgcn-v9\n");
     EXPECT_FALSE(GcnSerializer::Read(&in).ok());
   }
 }

@@ -6,7 +6,6 @@
 //  * coverage results are monotone in the pattern set.
 #include <gtest/gtest.h>
 
-#include <sstream>
 
 #include "gvex/common/rng.h"
 #include "gvex/explain/psum.h"
@@ -117,9 +116,10 @@ TEST_P(SeededPropertyTest, GraphIoRoundTripsRandomGraphs) {
   }
   ASSERT_TRUE(g.SetFeatures(std::move(f)).ok());
 
-  std::stringstream ss;
-  ASSERT_TRUE(WriteGraph(g, &ss).ok());
-  auto back = ReadGraph(&ss);
+  TextWriter out;
+  ASSERT_TRUE(WriteGraph(g, &out).ok());
+  TextReader in(out.str());
+  auto back = ReadGraph(&in);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->num_nodes(), g.num_nodes());
   EXPECT_EQ(back->num_edges(), g.num_edges());

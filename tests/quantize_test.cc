@@ -8,7 +8,6 @@
 #include <cmath>
 #include <limits>
 #include <memory>
-#include <sstream>
 #include <string>
 
 #include "gvex/cluster/bundle.h"
@@ -137,9 +136,9 @@ TEST(QuantizedModelTest, SerializationRoundTripsBitExactly) {
   for (WeightPrecision p : {WeightPrecision::kFp16, WeightPrecision::kInt8}) {
     auto qm = QuantizeModel(ctx.model, p);
     ASSERT_TRUE(qm.ok()) << qm.status().ToString();
-    std::ostringstream out;
+    TextWriter out;
     ASSERT_TRUE(WriteQuantizedModel(*qm, &out).ok());
-    std::istringstream in(out.str());
+    TextReader in(out.str());
     auto back = ReadQuantizedModel(&in);
     ASSERT_TRUE(back.ok()) << back.status().ToString();
     ASSERT_EQ(back->tensors.size(), qm->tensors.size());
@@ -151,7 +150,7 @@ TEST(QuantizedModelTest, SerializationRoundTripsBitExactly) {
     }
     // Re-serializing the read-back payload reproduces identical bytes —
     // the property bundle fingerprints stand on.
-    std::ostringstream again;
+    TextWriter again;
     ASSERT_TRUE(WriteQuantizedModel(*back, &again).ok());
     EXPECT_EQ(again.str(), out.str());
 

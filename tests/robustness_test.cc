@@ -505,7 +505,7 @@ TEST(StreamSnapshotTest, RestoreContinuesToStraightThroughResult) {
   ExplanationViewSet straight_set, resumed_set;
   straight_set.views.push_back(*straight_view);
   resumed_set.views.push_back(*resumed_view);
-  std::ostringstream straight_out, resumed_out;
+  TextWriter straight_out, resumed_out;
   ASSERT_TRUE(WriteViewSet(straight_set, &straight_out).ok());
   ASSERT_TRUE(WriteViewSet(resumed_set, &resumed_out).ok());
   EXPECT_EQ(resumed_out.str(), straight_out.str());

@@ -8,7 +8,6 @@
 #include <cstdio>
 #include <map>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -172,9 +171,9 @@ TEST(ShardMapTest, WriteReadRoundTrip) {
   ASSERT_TRUE(map.ok());
   ASSERT_TRUE(map->AddShard({"late", "tcp:9001", ""}).ok());  // version 2
 
-  std::ostringstream out;
+  TextWriter out;
   ASSERT_TRUE(map->Write(&out).ok());
-  std::istringstream in(out.str());
+  TextReader in(out.str());
   auto loaded = ShardMap::Read(&in);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(*map, *loaded);

@@ -201,7 +201,7 @@ TEST(ZooTruthTest, TruthCaptureLeavesDatabaseByteIdentical) {
   datasets::MotifTruth truth;
   auto with_truth = datasets::MakeByNameWithTruth("SYN", 0.05, 3, &truth);
   ASSERT_TRUE(with_truth.ok());
-  std::ostringstream a, b;
+  TextWriter a, b;
   ASSERT_TRUE(WriteDatabase(*plain, &a).ok());
   ASSERT_TRUE(WriteDatabase(*with_truth, &b).ok());
   EXPECT_EQ(a.str(), b.str());

@@ -13,6 +13,9 @@
 #      docs/WIRE_PROTOCOL.md row for row, and the `client --type` list in
 #      cli.h names exactly its wire names.
 #   4. Every intra-repo relative markdown link resolves to a file.
+#   5. The text-format codec files stay off iostreams: none includes
+#      <sstream> or names SetMaxPrecision, std::istringstream or
+#      std::ostringstream (numbers go through common/text_codec.h).
 #
 # Run from the repo root (ctest sets the working directory); exits
 # non-zero listing every violation, so one run shows all drift.
@@ -106,6 +109,25 @@ for doc in $ALL_DOCS; do
       complain "$doc links to missing file: $target"
     fi
   done < <(grep -oE '\]\([^)]+\)' "$doc" | sed -E 's/^\]\(//; s/\)$//')
+done
+
+echo "== docs-lint: codec files stay off string streams"
+CODEC_FILES=(src/gvex/common/text_codec.h src/gvex/common/text_codec.cc
+             src/gvex/common/io_util.cc src/gvex/serve/protocol.cc
+             src/gvex/graph/graph_io.cc src/gvex/explain/view_io.cc
+             src/gvex/explain/snapshot_io.cc src/gvex/explain/checkpoint.cc
+             src/gvex/ingest/journal.cc src/gvex/gnn/serialize.cc
+             src/gvex/gnn/quantize.cc src/gvex/cluster/bundle.cc
+             src/gvex/cluster/shard_map.cc src/gvex/zoo/evaluator.cc)
+for file in "${CODEC_FILES[@]}"; do
+  if [[ ! -f "$file" ]]; then
+    complain "codec file $file is missing"
+    continue
+  fi
+  while IFS= read -r hit; do
+    complain "$file:$hit (use TextWriter/TextReader, common/text_codec.h)"
+  done < <(grep -nE '#include <sstream>|SetMaxPrecision|std::(i|o)stringstream' \
+             "$file")
 done
 
 if [[ "$FAILURES" -gt 0 ]]; then
