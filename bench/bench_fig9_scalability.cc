@@ -60,9 +60,11 @@ int main(int argc, char** argv) {
     std::printf("%-10s%10s%10s\n", "threads", "time(s)", "speedup");
     double base = 0.0;
     for (size_t threads : {1, 2, 4}) {
+      ParallelExplainOptions options;
+      options.num_threads = threads;
       Stopwatch w;
       auto set = ParallelApproxExplain(wb.model, wb.db, wb.assigned, {1},
-                                       config, threads);
+                                       config, options);
       double secs = w.ElapsedSeconds();
       if (!set.ok()) {
         std::printf("%-10zu%10s\n", threads, "error");

@@ -269,10 +269,10 @@ Status CmdExplain(const Flags& flags) {
         set, ParallelApproxExplain(model, db, assigned, labels, config,
                                    options));
     for (const auto& [label, stats] : report.per_view) {
-      std::printf("label %d: %zu/%zu explained (%zu resumed, %zu infeasible, "
-                  "%zu invalid)\n",
-                  label, stats.explained, stats.attempted, stats.resumed,
-                  stats.infeasible, stats.invalid);
+      std::printf(
+          "label %d: %zu/%zu explained (%zu resumed, %zu infeasible)\n",
+          label, stats.explained, stats.attempted, stats.resumed,
+          stats.infeasible);
     }
   } else if (algorithm == "stream") {
     if (checkpoint != nullptr) {
@@ -850,9 +850,8 @@ Status CmdClient(const Flags& flags) {
     options.num_workers = static_cast<size_t>(flags.GetInt("workers", 1));
     serve::ExplanationServer server(&registry, options);
     GVEX_RETURN_NOT_OK(server.Start());
-    serve::ServeHandle handle(&server);
     GVEX_ASSIGN_OR_RETURN(
-        resp, CallRetryingSheds(flags, [&] { return handle.Call(req); }));
+        resp, CallRetryingSheds(flags, [&] { return server.Call(req); }));
     server.Stop();
   } else if (auto map_path = flags.Get("shard-map")) {
     // Library mode of the frontend: an in-process ShardRouter over the

@@ -189,11 +189,6 @@ void ShardRouter::Detach(std::function<void()> fn) {
   tasks_.push_back(std::move(task));
 }
 
-void ShardRouter::InvalidateShardInfo() {
-  std::lock_guard<std::mutex> lock(info_mu_);
-  route_info_.clear();
-}
-
 RouterStats ShardRouter::stats() const {
   std::lock_guard<std::mutex> lock(stats_mu_);
   return stats_;

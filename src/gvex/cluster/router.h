@@ -127,10 +127,6 @@ class ShardRouter {
   /// back as an error-coded Response like ExplanationServer::Call.
   serve::Response Call(const serve::Request& req);
 
-  /// Drop the cached per-route shard-info tables (after a republish
-  /// that changes corpus coverage).
-  void InvalidateShardInfo();
-
   RouterStats stats() const;
   std::string StatsJson() const;
   const ShardMap& map() const { return map_; }

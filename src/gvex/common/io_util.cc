@@ -3,11 +3,12 @@
 #include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
+#include <filesystem>
 #include <thread>
 
 #include "gvex/common/checksum.h"
 #include "gvex/common/failpoint.h"
+#include "gvex/common/logging.h"
 #include "gvex/common/string_util.h"
 
 namespace gvex {
@@ -86,6 +87,72 @@ Result<std::string> ReadFile(const std::string& path) {
   }
   if (in.bad()) return Status::IoError("cannot read " + path);
   return bytes;
+}
+
+Result<std::unique_ptr<JournalFile>> JournalFile::Open(
+    const std::string& path, std::string_view what, std::string_view magic,
+    bool resume, const std::function<Status(std::string_view)>& replay) {
+  std::string name = std::string(what) + " " + path;
+  // The bytes to keep: the magic line and every record replay accepted.
+  // Zero starts the file over.
+  size_t keep = 0;
+  if (resume) {
+    Result<std::string> bytes = ReadFile(path);
+    if (bytes.ok()) {
+      auto end_of = [&](std::string_view piece) {
+        return static_cast<size_t>(piece.data() + piece.size() -
+                                   bytes->data());
+      };
+      TextReader in(*bytes);
+      std::string_view word;
+      if (!(in >> word) || word != magic || !in.Consume('\n')) {
+        return Status::IoError(name + " has a bad magic");
+      }
+      keep = end_of(word) + 1;
+      size_t records = 0;
+      while (!in.AtEnd()) {
+        Result<std::string_view> record = ReadSection(&in);
+        Status st = record.ok() ? replay(*record) : record.status();
+        if (!st.ok()) {
+          // A torn tail from a crash mid-append: keep the valid prefix,
+          // drop the rest.
+          GVEX_LOG(Warning) << name << ": discarding the tail after "
+                            << records << " records (" << st.ToString()
+                            << ")";
+          break;
+        }
+        ++records;
+        keep = end_of(*record);
+      }
+      if (keep < bytes->size()) {
+        std::error_code ec;
+        std::filesystem::resize_file(path, keep, ec);
+        if (ec) {
+          return Status::IoError("cannot cut " + name + ": " + ec.message());
+        }
+      }
+    }
+  }
+  std::ofstream out(path, keep > 0 ? (std::ios::binary | std::ios::app)
+                                   : (std::ios::binary | std::ios::trunc));
+  if (!out.is_open()) return Status::IoError("cannot open " + name);
+  if (keep == 0) {
+    out << magic << "\n";
+    out.flush();
+    if (!out.good()) return Status::IoError("cannot initialize " + name);
+  }
+  return std::unique_ptr<JournalFile>(
+      new JournalFile(std::move(name), std::move(out)));
+}
+
+Status JournalFile::Append(std::string_view record) {
+  TextWriter section;
+  WriteSection(&section, record);
+  out_.write(section.str().data(),
+             static_cast<std::streamsize>(section.str().size()));
+  out_.flush();
+  if (!out_.good()) return Status::IoError(name_ + ": append failed");
+  return Status::OK();
 }
 
 Status RetryIo(const std::function<Status()>& op, const RetryOptions& options) {

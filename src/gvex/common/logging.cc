@@ -29,10 +29,6 @@ void SetLogLevel(LogLevel level) {
   g_log_level.store(static_cast<int>(level), std::memory_order_relaxed);
 }
 
-LogLevel GetLogLevel() {
-  return static_cast<LogLevel>(g_log_level.load(std::memory_order_relaxed));
-}
-
 namespace internal {
 
 LogMessage::LogMessage(LogLevel level, const char* file, int line)

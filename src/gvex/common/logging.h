@@ -17,7 +17,6 @@ enum class LogLevel : int {
 
 /// Global threshold; messages below it are dropped. Default: kInfo.
 void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
 
 namespace internal {
 

@@ -107,17 +107,8 @@ class Status {
   bool IsIoError() const { return code() == StatusCode::kIoError; }
   bool IsInternal() const { return code() == StatusCode::kInternal; }
   bool IsOverloaded() const { return code() == StatusCode::kOverloaded; }
-  bool IsQuotaExceeded() const {
-    return code() == StatusCode::kQuotaExceeded;
-  }
   bool IsPartialFailure() const {
     return code() == StatusCode::kPartialFailure;
-  }
-  bool IsPartialResult() const {
-    return code() == StatusCode::kPartialResult;
-  }
-  bool IsEvaluationFailed() const {
-    return code() == StatusCode::kEvaluationFailed;
   }
 
   std::string ToString() const;

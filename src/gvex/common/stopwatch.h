@@ -3,7 +3,6 @@
 #pragma once
 
 #include <chrono>
-#include <cstdint>
 
 namespace gvex {
 
@@ -12,22 +11,8 @@ class Stopwatch {
  public:
   Stopwatch() : start_(Clock::now()) {}
 
-  void Restart() { start_ = Clock::now(); }
-
   double ElapsedSeconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
-  }
-
-  int64_t ElapsedMillis() const {
-    return std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now() -
-                                                                 start_)
-        .count();
-  }
-
-  int64_t ElapsedMicros() const {
-    return std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                                 start_)
-        .count();
   }
 
  private:

@@ -3,14 +3,72 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <chrono>
 #include <cstdlib>
+#include <exception>
 #include <memory>
 
 #include "gvex/common/failpoint.h"
 #include "gvex/obs/obs.h"
 
 namespace gvex {
+
+namespace {
+
+// True while this thread runs a chunk of a loop that fanned out. Every
+// ParallelFor it issues then runs inline, so no pool thread waits on a pool.
+thread_local bool t_in_fanned_out_chunk = false;
+
+// One fanned-out loop, co-owned by its caller and every helper task. `fn`
+// and `cancel` live in the caller's frame: they are read only by a thread
+// holding an unfinished chunk, and the caller returns only once every
+// chunk has finished. A helper that starts after the last claim therefore
+// touches this state alone.
+struct Loop {
+  const std::function<void(size_t)>* fn = nullptr;
+  const CancellationToken* cancel = nullptr;
+  size_t n = 0;
+  size_t grain = 1;
+  size_t chunks = 0;
+  std::atomic<size_t> next{0};      // the next chunk to claim
+  std::atomic<bool> failed{false};  // a chunk threw: run no more
+  std::mutex mu;
+  std::condition_variable cv;  // notified when the last chunk finishes
+  size_t finished = 0;         // guarded by mu
+  std::exception_ptr error;    // the first exception; guarded by mu
+};
+
+void RunChunk(const std::function<void(size_t)>& fn, size_t n, size_t grain,
+              size_t c) {
+  const size_t end = std::min(n, (c + 1) * grain);
+  for (size_t i = c * grain; i < end; ++i) fn(i);
+}
+
+// Claims chunks until none is left. A claimed chunk runs unless the loop
+// has failed or its token is cancelled; either way it counts as finished.
+void Drain(Loop& loop) {
+  for (;;) {
+    const size_t c = loop.next.fetch_add(1, std::memory_order_relaxed);
+    if (c >= loop.chunks) return;
+    std::exception_ptr error;
+    if (!loop.failed.load() &&
+        (loop.cancel == nullptr || !loop.cancel->cancelled())) {
+      assert(!t_in_fanned_out_chunk);
+      t_in_fanned_out_chunk = true;
+      try {
+        RunChunk(*loop.fn, loop.n, loop.grain, c);
+      } catch (...) {
+        error = std::current_exception();
+        loop.failed.store(true);
+      }
+      t_in_fanned_out_chunk = false;
+    }
+    std::lock_guard<std::mutex> lock(loop.mu);
+    if (error != nullptr && loop.error == nullptr) loop.error = error;
+    if (++loop.finished == loop.chunks) loop.cv.notify_all();
+  }
+}
+
+}  // namespace
 
 ThreadPool::ThreadPool(size_t num_threads) {
   num_threads = std::max<size_t>(1, num_threads);
@@ -29,20 +87,17 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-std::future<void> ThreadPool::Submit(std::function<void()> task) {
-  std::packaged_task<void()> packaged(std::move(task));
-  std::future<void> fut = packaged.get_future();
+void ThreadPool::Enqueue(std::function<void()> task) {
   size_t depth;
   {
     std::lock_guard<std::mutex> lock(mu_);
     assert(!shutting_down_);
-    tasks_.push(std::move(packaged));
+    tasks_.push(std::move(task));
     depth = tasks_.size();
   }
   GVEX_COUNTER_INC("pool.tasks");
   GVEX_HISTOGRAM_RECORD("pool.queue_depth", depth);
   cv_.notify_one();
-  return fut;
 }
 
 void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn,
@@ -50,79 +105,27 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn,
   if (n == 0) return;
   grain = std::max<size_t>(1, grain);
   const size_t chunks = (n + grain - 1) / grain;
-  auto run_chunk = [&](size_t c) {
-    const size_t begin = c * grain;
-    const size_t end = std::min(n, begin + grain);
-    for (size_t i = begin; i < end; ++i) fn(i);
-  };
-  if (workers_.size() == 1 || chunks == 1) {
+  if (workers_.size() == 1 || chunks == 1 || t_in_fanned_out_chunk) {
     for (size_t c = 0; c < chunks; ++c) {
       if (cancel != nullptr && cancel->cancelled()) return;
-      run_chunk(c);
+      RunChunk(fn, n, grain, c);
     }
     return;
   }
-  std::atomic<size_t> next{0};
-  auto drain_chunks = [&] {
-    for (;;) {
-      if (cancel != nullptr && cancel->cancelled()) return;
-      const size_t c = next.fetch_add(1, std::memory_order_relaxed);
-      if (c >= chunks) return;
-      run_chunk(c);
-    }
-  };
+  auto loop = std::make_shared<Loop>();
+  loop->fn = &fn;
+  loop->cancel = cancel;
+  loop->n = n;
+  loop->grain = grain;
+  loop->chunks = chunks;
   // The caller claims chunks too, so helpers never carry the whole loop
-  // and a queued-but-never-started helper costs nothing but its no-op run.
+  // and a helper that starts late costs nothing but one claim past the end.
   const size_t helpers = std::min(workers_.size(), chunks - 1);
-  // The completion state is heap-allocated and co-owned by every helper:
-  // the caller may observe remaining == 0 through the lock-free load below
-  // and return while the last helper is still between its decrement and
-  // its notify_all, so stack-local state would be destroyed under it.
-  struct Completion {
-    std::atomic<size_t> remaining;
-    std::mutex mu;
-    std::condition_variable cv;
-    explicit Completion(size_t n) : remaining(n) {}
-  };
-  auto done = std::make_shared<Completion>(helpers);
-  for (size_t t = 0; t < helpers; ++t) {
-    Submit([&, done] {
-      drain_chunks();
-      {
-        std::lock_guard<std::mutex> lock(done->mu);
-        done->remaining.fetch_sub(1, std::memory_order_acq_rel);
-      }
-      done->cv.notify_all();
-    });
-  }
-  drain_chunks();
-  // Help-drain: instead of blocking on helper futures (which deadlocks
-  // when every worker is itself parked inside a nested ParallelFor), the
-  // caller keeps executing queued tasks until its helpers have retired.
-  // Only then is the frame holding `fn`/`next`/`run_chunk` safe to leave:
-  // every helper has finished drain_chunks before it decrements, and
-  // not-yet-started helpers keep remaining above zero until the caller's
-  // RunOneQueuedTask executes them.
-  while (done->remaining.load(std::memory_order_acquire) != 0) {
-    if (RunOneQueuedTask()) continue;
-    std::unique_lock<std::mutex> lock(done->mu);
-    if (done->remaining.load(std::memory_order_acquire) == 0) break;
-    done->cv.wait_for(lock, std::chrono::milliseconds(1));
-  }
-}
-
-bool ThreadPool::RunOneQueuedTask() {
-  std::packaged_task<void()> task;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (tasks_.empty()) return false;
-    task = std::move(tasks_.front());
-    tasks_.pop();
-  }
-  GVEX_FAILPOINT_NOTIFY("thread_pool.task");
-  GVEX_SPAN("pool.task");
-  task();
-  return true;
+  for (size_t t = 0; t < helpers; ++t) Enqueue([loop] { Drain(*loop); });
+  Drain(*loop);
+  std::unique_lock<std::mutex> lock(loop->mu);
+  loop->cv.wait(lock, [&] { return loop->finished == loop->chunks; });
+  if (loop->error != nullptr) std::rethrow_exception(loop->error);
 }
 
 ThreadPool& ThreadPool::Shared() {
@@ -145,14 +148,11 @@ ThreadPool& ThreadPool::Shared() {
 
 void ThreadPool::WorkerLoop() {
   for (;;) {
-    std::packaged_task<void()> task;
+    std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [this] { return shutting_down_ || !tasks_.empty(); });
-      if (tasks_.empty()) {
-        if (shutting_down_) return;
-        continue;
-      }
+      if (tasks_.empty()) return;  // shutting down, nothing left to drain
       task = std::move(tasks_.front());
       tasks_.pop();
     }

@@ -6,7 +6,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <queue>
 #include <thread>
@@ -16,10 +15,8 @@
 
 namespace gvex {
 
-/// \brief A minimal work-stealing-free task pool.
-///
-/// Tasks are arbitrary `void()` callables; Submit returns a future. The
-/// destructor drains outstanding tasks before joining.
+/// \brief A minimal work-stealing-free pool behind one primitive,
+/// ParallelFor. The destructor drains outstanding tasks before joining.
 class ThreadPool {
  public:
   explicit ThreadPool(size_t num_threads);
@@ -30,29 +27,32 @@ class ThreadPool {
 
   size_t num_threads() const { return workers_.size(); }
 
-  /// Enqueue a task; returns a future for its completion.
-  std::future<void> Submit(std::function<void()> task);
-
   /// Run `fn(i)` for i in [0, n) across the pool and wait for completion.
   /// With a single-thread pool this degrades to a serial loop (no
   /// thread-hop overhead), which keeps benches honest on 1-core boxes.
   ///
-  /// `grain` dispatches contiguous chunks of `grain` indices per claim of
-  /// the shared work counter, so fine-grained loops (coverage cells,
-  /// influence sources, GEMM rows) don't serialize on one atomic. The
-  /// default grain of 1 preserves the historical per-index dispatch.
+  /// `grain` dispatches contiguous chunks of `grain` indices per claim, so
+  /// fine-grained loops (coverage cells, influence sources, GEMM rows)
+  /// don't serialize on the claim. The default grain of 1 dispatches per
+  /// index.
   ///
-  /// When `cancel` is given, no *new* chunk is dispatched once the token
-  /// is cancelled (indices already running finish normally) — the first
+  /// When `cancel` is given, no *new* chunk runs once the token is
+  /// cancelled (indices already running finish normally) — the first
   /// non-recoverable worker error stops the fan-out instead of letting
-  /// the pool run to completion. Indices never dispatched are simply not
+  /// the pool run to completion. Indices never run are simply not
   /// invoked; the caller inspects the token's cause().
   ///
-  /// Nesting-safe: the calling thread claims chunks itself and, while
-  /// helper tasks finish, executes other queued pool tasks instead of
-  /// sleeping. A ParallelFor issued from inside a pool task therefore
-  /// always makes progress, even when every worker is blocked in its own
-  /// ParallelFor (see the hot-path parallelism notes, DESIGN.md §8).
+  /// The caller claims chunks like any helper, then waits until every
+  /// claimed chunk has finished. If `fn` throws, no further chunk runs and
+  /// the first exception is rethrown here once every claimed chunk has
+  /// finished, whichever thread it was thrown on.
+  ///
+  /// One fan-out rule: a thread running a chunk of a loop that fanned out
+  /// (on any pool) runs every ParallelFor it issues inline, serially, still
+  /// checking that loop's token between chunks. No pool thread ever waits
+  /// on a pool, so nesting cannot deadlock or oversubscribe the cores. A
+  /// loop that does not fan out (one worker, or one chunk) leaves its
+  /// thread free to fan out the loops inside it.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn,
                    const CancellationToken* cancel = nullptr,
                    size_t grain = 1);
@@ -61,16 +61,15 @@ class ThreadPool {
   /// (Psum coverage, PGen enumeration, Jacobian influence, large GEMMs).
   /// Sized by $GVEX_NUM_THREADS when set (>0), else hardware concurrency.
   /// Per-operator fan-out (ParallelApproxExplain) keeps its own pool; the
-  /// nesting-safe ParallelFor makes the two compose.
+  /// kernels inside its graphs then run inline (see ParallelFor).
   static ThreadPool& Shared();
 
  private:
+  void Enqueue(std::function<void()> task);
   void WorkerLoop();
-  /// Pop-and-run one queued task if any; returns false when idle.
-  bool RunOneQueuedTask();
 
   std::vector<std::thread> workers_;
-  std::queue<std::packaged_task<void()>> tasks_;
+  std::queue<std::function<void()>> tasks_;
   std::mutex mu_;
   std::condition_variable cv_;
   bool shutting_down_ = false;

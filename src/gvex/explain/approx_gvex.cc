@@ -1,12 +1,9 @@
 #include "gvex/explain/approx_gvex.h"
 
 #include <algorithm>
-#include <cassert>
 
 #include "gvex/common/failpoint.h"
-#include "gvex/common/logging.h"
-#include "gvex/common/string_util.h"
-#include "gvex/explain/psum.h"
+#include "gvex/explain/parallel.h"
 #include "gvex/influence/influence.h"
 #include "gvex/obs/obs.h"
 
@@ -213,72 +210,28 @@ Result<ExplanationSubgraph> ApproxGvex::ExplainGraph(const Graph& g,
   return out;
 }
 
-Result<ExplanationView> ApproxGvex::ExplainLabel(
-    const GraphDatabase& db, const std::vector<ClassLabel>& assigned,
-    ClassLabel l, const CancellationToken* cancel,
-    ExplanationCheckpoint* checkpoint) {
-  GVEX_SPAN("approx.explain_label");
-  ExplanationView view;
-  view.label = l;
-  std::vector<size_t> group = GraphDatabase::LabelGroup(assigned, l);
-  size_t done = 0;
-  for (size_t gi : group) {
-    if (cancel != nullptr && cancel->cancelled()) {
-      Status cause = cancel->cause();
-      if (!cause.IsTimeout()) return cause;
-      std::string note = StrFormat(
-          "label explanation exceeded time budget (%zu/%zu graphs done", done,
-          group.size());
-      note += checkpoint != nullptr ? ", progress journaled)" : ")";
-      return Status::Timeout(std::move(note));
-    }
-    if (checkpoint != nullptr) {
-      if (const ExplanationSubgraph* saved = checkpoint->Find(l, gi)) {
-        ++stats_.graphs_resumed;
-        ++done;
-        view.explainability += saved->explainability;
-        view.subgraphs.push_back(*saved);
-        continue;
-      }
-    }
-    Result<ExplanationSubgraph> sub = ExplainGraph(db.graph(gi), gi, l);
-    if (!sub.ok()) {
-      if (sub.status().IsInfeasible()) {
-        GVEX_LOG(Debug) << "graph " << gi << " infeasible for label " << l;
-        ++done;
-        continue;  // Alg. 1 line 17: this graph contributes no subgraph
-      }
-      return sub.status();
-    }
-    if (checkpoint != nullptr) {
-      GVEX_RETURN_NOT_OK(checkpoint->Append(l, *sub));
-    }
-    ++done;
-    view.explainability += sub->explainability;
-    view.subgraphs.push_back(std::move(*sub));
-  }
-
-  // Summarize phase: one pattern set covering every subgraph of the label
-  // group (the view invariant: P^l covers the nodes of G_s^l).
-  std::vector<Graph> raw;
-  raw.reserve(view.subgraphs.size());
-  for (const auto& s : view.subgraphs) raw.push_back(s.subgraph);
-  PsumResult summary = Psum(raw, config_);
-  view.patterns = std::move(summary.patterns);
-  return view;
-}
-
 Result<ExplanationViewSet> ApproxGvex::Explain(
     const GraphDatabase& db, const std::vector<ClassLabel>& assigned,
     const std::vector<ClassLabel>& labels, const CancellationToken* cancel,
     ExplanationCheckpoint* checkpoint) {
-  ExplanationViewSet set;
-  for (ClassLabel l : labels) {
-    GVEX_ASSIGN_OR_RETURN(ExplanationView view,
-                          ExplainLabel(db, assigned, l, cancel, checkpoint));
-    set.views.push_back(std::move(view));
-  }
+  ParallelExplainOptions options;
+  options.cancel = cancel;
+  options.checkpoint = checkpoint;
+  ParallelExplainReport report;
+  options.report = &report;
+  Result<ExplanationViewSet> set =
+      ParallelApproxExplain(*model_, db, assigned, labels, config_, options);
+  stats_ += report.solver;
   return set;
+}
+
+Result<ExplanationView> ApproxGvex::ExplainLabel(
+    const GraphDatabase& db, const std::vector<ClassLabel>& assigned,
+    ClassLabel l, const CancellationToken* cancel,
+    ExplanationCheckpoint* checkpoint) {
+  GVEX_ASSIGN_OR_RETURN(ExplanationViewSet set,
+                        Explain(db, assigned, {l}, cancel, checkpoint));
+  return std::move(set.views.front());
 }
 
 }  // namespace gvex

@@ -18,6 +18,11 @@
 // rejected, exactly as Procedure 2 prescribes.
 //
 // Summarize phase: Psum over the label group's explanation subgraphs.
+//
+// ApproxGvex::ExplainGraph is the per-graph body. A database build, with
+// its checkpointing, cancellation and failure handling, has one
+// implementation: ParallelApproxExplain (parallel.h), which Explain runs
+// on one thread.
 #pragma once
 
 #include <vector>
@@ -41,6 +46,16 @@ struct ApproxGvexStats {
   size_t graphs_resumed = 0;  ///< taken from a checkpoint, not recomputed
   size_t everify_calls = 0;
   size_t greedy_rounds = 0;
+
+  ApproxGvexStats& operator+=(const ApproxGvexStats& o) {
+    graphs_attempted += o.graphs_attempted;
+    graphs_explained += o.graphs_explained;
+    graphs_infeasible += o.graphs_infeasible;
+    graphs_resumed += o.graphs_resumed;
+    everify_calls += o.everify_calls;
+    greedy_rounds += o.greedy_rounds;
+    return *this;
+  }
 };
 
 /// \brief The two-step explain-and-summarize solver.
@@ -58,24 +73,27 @@ class ApproxGvex {
   Result<ExplanationSubgraph> ExplainGraph(const Graph& g, size_t graph_index,
                                            ClassLabel l);
 
-  /// Assemble the explanation view for one label group: run ExplainGraph
-  /// on every graph the model assigned label l, then summarize with Psum.
-  /// Graphs with no feasible explanation are skipped (counted in stats).
+  /// Views for every label of interest: ParallelApproxExplain on one
+  /// thread (the one implementation of a database build), whose summed
+  /// solver counters are added to stats(). Each label's view runs ExplainGraph on
+  /// every graph the model assigned that label, then summarizes them with
+  /// Psum. Infeasible graphs are skipped (Alg. 1 line 17); any other
+  /// per-graph error fails the build.
   ///
   /// With a `checkpoint`, each completed subgraph is journaled and graphs
   /// already in the journal are restored instead of recomputed, so a
-  /// killed run resumes where it stopped. `cancel` is checked before each
-  /// graph; its deadline passing returns kTimeout.
-  Result<ExplanationView> ExplainLabel(
-      const GraphDatabase& db, const std::vector<ClassLabel>& assigned,
-      ClassLabel l, const CancellationToken* cancel = nullptr,
-      ExplanationCheckpoint* checkpoint = nullptr);
-
-  /// Views for every label of interest.
+  /// killed run resumes where it stopped. `cancel` is read before each
+  /// graph, never cancelled; its deadline passing returns kTimeout.
   Result<ExplanationViewSet> Explain(
       const GraphDatabase& db, const std::vector<ClassLabel>& assigned,
       const std::vector<ClassLabel>& labels,
       const CancellationToken* cancel = nullptr,
+      ExplanationCheckpoint* checkpoint = nullptr);
+
+  /// Explain for one label.
+  Result<ExplanationView> ExplainLabel(
+      const GraphDatabase& db, const std::vector<ClassLabel>& assigned,
+      ClassLabel l, const CancellationToken* cancel = nullptr,
       ExplanationCheckpoint* checkpoint = nullptr);
 
  private:

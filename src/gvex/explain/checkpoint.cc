@@ -1,10 +1,6 @@
 #include "gvex/explain/checkpoint.h"
 
-#include <fstream>
-
 #include "gvex/common/failpoint.h"
-#include "gvex/common/io_util.h"
-#include "gvex/common/logging.h"
 #include "gvex/explain/view_io.h"
 #include "gvex/obs/obs.h"
 
@@ -18,63 +14,23 @@ Result<std::unique_ptr<ExplanationCheckpoint>> ExplanationCheckpoint::Open(
     const std::string& path, bool resume) {
   std::unique_ptr<ExplanationCheckpoint> ckpt(new ExplanationCheckpoint);
   ckpt->path_ = path;
-
-  bool have_valid_file = false;
-  if (resume) {
-    // A journal that cannot be read is treated like a missing one.
-    Result<std::string> bytes = ReadFile(path);
-    if (bytes.ok()) {
-      TextReader in(*bytes);
-      std::string_view magic;
-      if (!(in >> magic) || magic != kMagic) {
-        return Status::IoError("checkpoint " + path + " has a bad magic");
-      }
-      have_valid_file = true;
-      while (!in.AtEnd()) {
-        Result<std::string_view> payload = ReadSection(&in);
-        if (!payload.ok()) {
-          // A torn tail from a crash mid-append: keep the valid prefix,
-          // drop the rest.
-          GVEX_LOG(Warning)
-              << "checkpoint " << path << ": discarding corrupt tail ("
-              << payload.status().ToString() << ") after "
-              << ckpt->records_.size() << " records";
-          break;
-        }
-        TextReader rec(*payload);
-        std::string_view tag;
-        ClassLabel label = -1;
-        if (!(rec >> tag >> label) || tag != "rec") {
-          GVEX_LOG(Warning) << "checkpoint " << path
-                            << ": malformed record, stopping replay";
-          break;
-        }
-        Result<ExplanationSubgraph> sub = ReadExplanationSubgraph(&rec);
-        if (!sub.ok()) {
-          GVEX_LOG(Warning) << "checkpoint " << path
-                            << ": unreadable record, stopping replay";
-          break;
-        }
-        size_t gi = sub->graph_index;
-        ckpt->records_[{label, gi}] = std::move(*sub);
-      }
-      ckpt->loaded_count_ = ckpt->records_.size();
+  auto replay = [&](std::string_view payload) -> Status {
+    TextReader rec(payload);
+    std::string_view tag;
+    ClassLabel label = -1;
+    if (!(rec >> tag >> label) || tag != "rec") {
+      return Status::IoError("malformed record");
     }
-  }
-
-  auto mode = have_valid_file ? (std::ios::out | std::ios::app)
-                              : (std::ios::out | std::ios::trunc);
-  ckpt->out_ = std::make_unique<std::ofstream>(path, mode);
-  if (!ckpt->out_->is_open()) {
-    return Status::IoError("cannot open checkpoint " + path);
-  }
-  if (!have_valid_file) {
-    (*ckpt->out_) << kMagic << "\n";
-    ckpt->out_->flush();
-    if (!ckpt->out_->good()) {
-      return Status::IoError("cannot initialize checkpoint " + path);
-    }
-  }
+    GVEX_ASSIGN_OR_RETURN(ExplanationSubgraph sub,
+                          ReadExplanationSubgraph(&rec));
+    const size_t gi = sub.graph_index;
+    ckpt->records_[{label, gi}] = std::move(sub);
+    return Status::OK();
+  };
+  GVEX_ASSIGN_OR_RETURN(
+      ckpt->file_,
+      JournalFile::Open(path, "checkpoint", kMagic, resume, replay));
+  ckpt->loaded_count_ = ckpt->records_.size();
   return ckpt;
 }
 
@@ -95,16 +51,8 @@ Status ExplanationCheckpoint::Append(ClassLabel label,
   TextWriter rec;
   rec << "rec " << label << "\n";
   GVEX_RETURN_NOT_OK(WriteExplanationSubgraph(sub, &rec));
-  TextWriter section;
-  WriteSection(&section, rec.str());
-
   std::lock_guard<std::mutex> lock(mu_);
-  out_->write(section.str().data(),
-              static_cast<std::streamsize>(section.str().size()));
-  out_->flush();
-  if (!out_->good()) {
-    return Status::IoError("checkpoint append to " + path_ + " failed");
-  }
+  GVEX_RETURN_NOT_OK(file_->Append(rec.str()));
   records_[{label, sub.graph_index}] = sub;
   return Status::OK();
 }

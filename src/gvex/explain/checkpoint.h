@@ -6,16 +6,17 @@
 // byte-identical view set to an uninterrupted one.
 //
 // The journal is deliberately tolerant on load: a torn or corrupt tail
-// (the crash wrote half a record) is discarded and the valid prefix used.
+// (the crash wrote half a record) is cut off and the valid prefix used
+// (JournalFile, common/io_util.h).
 #pragma once
 
-#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <utility>
 
+#include "gvex/common/io_util.h"
 #include "gvex/common/result.h"
 #include "gvex/explain/view.h"
 
@@ -24,7 +25,7 @@ namespace gvex {
 class ExplanationCheckpoint {
  public:
   /// Open a journal at `path`. With `resume`, existing records are loaded
-  /// (tolerating a torn tail) and later appends extend the file; without,
+  /// (a torn tail is cut off) and later appends extend the file; without,
   /// any existing file is truncated.
   static Result<std::unique_ptr<ExplanationCheckpoint>> Open(
       const std::string& path, bool resume);
@@ -47,7 +48,7 @@ class ExplanationCheckpoint {
 
   mutable std::mutex mu_;
   std::string path_;
-  std::unique_ptr<std::ofstream> out_;
+  std::unique_ptr<JournalFile> file_;
   size_t loaded_count_ = 0;
   std::map<std::pair<ClassLabel, size_t>, ExplanationSubgraph> records_;
 };

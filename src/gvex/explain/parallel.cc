@@ -1,9 +1,5 @@
 #include "gvex/explain/parallel.h"
 
-#include <algorithm>
-#include <atomic>
-#include <mutex>
-
 #include "gvex/common/logging.h"
 #include "gvex/common/string_util.h"
 #include "gvex/common/thread_pool.h"
@@ -19,13 +15,13 @@ struct WorkItem {
   size_t graph_index;
 };
 
-// Outcome markers for items that never produced a Result.
-Status NotAttempted() { return Status::Internal("not attempted"); }
-
-bool IsSkippableMiss(const Status& st) {
-  // Alg. 1 line 17: these graphs contribute no subgraph by design.
-  return st.IsInfeasible() || st.IsInvalidArgument();
-}
+// What became of one work item.
+struct Outcome {
+  bool attempted = false;
+  bool resumed = false;  // restored from the checkpoint journal
+  Result<ExplanationSubgraph> result{Status::Internal("not attempted")};
+  ApproxGvexStats stats;  // the item's own solver's counters
+};
 
 }  // namespace
 
@@ -44,70 +40,77 @@ Result<ExplanationViewSet> ParallelApproxExplain(
   }
   GVEX_COUNTER_ADD("parallel.items", items.size());
 
-  CancellationToken local_cancel;
-  CancellationToken* cancel =
-      options.cancel != nullptr ? options.cancel : &local_cancel;
-
-  std::vector<Result<ExplanationSubgraph>> results(items.size(),
-                                                   NotAttempted());
-  std::vector<char> attempted(items.size(), 0);
-  std::vector<char> resumed(items.size(), 0);
+  // The build's own stop signal: the first hard failure cancels it, and
+  // so does the caller's token, whose cause it copies. The caller's token
+  // is only read.
+  CancellationToken stop;
+  std::vector<Outcome> outcomes(items.size());
   {
     ThreadPool pool(options.num_threads);
-    // One solver per worker slot would need worker ids; per-item solvers
-    // are cheap relative to the explain work itself.
+    // Per-item solvers: one per worker slot would need worker ids, and a
+    // solver is cheap relative to the explain work itself.
     pool.ParallelFor(
         items.size(),
         [&](size_t i) {
-          if (cancel->cancelled()) return;
-          attempted[i] = 1;
+          if (options.cancel != nullptr && options.cancel->cancelled()) {
+            stop.RequestCancel(options.cancel->cause());
+            return;
+          }
           const WorkItem& item = items[i];
+          Outcome& out = outcomes[i];
+          out.attempted = true;
           if (options.checkpoint != nullptr) {
             if (const ExplanationSubgraph* saved =
                     options.checkpoint->Find(item.label, item.graph_index)) {
-              resumed[i] = 1;
-              results[i] = *saved;
+              out.resumed = true;
+              out.result = *saved;
               return;
             }
           }
           ApproxGvex solver(&model, config);
-          results[i] = solver.ExplainGraph(db.graph(item.graph_index),
+          out.result = solver.ExplainGraph(db.graph(item.graph_index),
                                            item.graph_index, item.label);
-          if (results[i].ok() && options.checkpoint != nullptr) {
-            Status journal =
-                options.checkpoint->Append(item.label, *results[i]);
-            if (!journal.ok()) {
-              // Durability is part of the contract: treat a failed append
-              // as a hard item failure so the run stops instead of
-              // claiming un-journaled progress.
-              results[i] = journal;
-            }
+          out.stats = solver.stats();
+          if (out.result.ok() && options.checkpoint != nullptr) {
+            Status journal = options.checkpoint->Append(item.label,
+                                                        *out.result);
+            // Durability is part of the contract: treat a failed append
+            // as a hard item failure so the run stops instead of claiming
+            // un-journaled progress.
+            if (!journal.ok()) out.result = journal;
           }
-          if (!results[i].ok() && !IsSkippableMiss(results[i].status())) {
-            cancel->RequestCancel(results[i].status());
+          // Alg. 1 line 17: an infeasible graph contributes no subgraph by
+          // design. Anything else is a hard failure.
+          if (!out.result.ok() && !out.result.status().IsInfeasible()) {
+            stop.RequestCancel(out.result.status());
           }
         },
-        cancel);
+        &stop);
   }
 
   // ---- failure aggregation ---------------------------------------------------
   std::vector<std::string> failures;
+  StatusCode first_failure = StatusCode::kOk;
   size_t not_attempted = 0;
-  size_t done = 0;
+  ApproxGvexStats solver_stats;
   for (size_t i = 0; i < items.size(); ++i) {
-    if (!attempted[i]) {
+    const Outcome& out = outcomes[i];
+    if (!out.attempted) {
       ++not_attempted;
       continue;
     }
-    if (results[i].ok() || IsSkippableMiss(results[i].status())) {
-      ++done;
-      continue;
-    }
+    solver_stats += out.stats;
+    if (out.resumed) ++solver_stats.graphs_resumed;
+    if (out.result.ok() || out.result.status().IsInfeasible()) continue;
+    if (failures.empty()) first_failure = out.result.status().code();
     failures.push_back(StrFormat("graph %zu/label %d: %s",
                                  items[i].graph_index, int(items[i].label),
-                                 results[i].status().ToString().c_str()));
+                                 out.result.status().ToString().c_str()));
   }
-  if (options.report != nullptr) options.report->not_attempted = not_attempted;
+  if (options.report != nullptr) {
+    options.report->not_attempted = not_attempted;
+    options.report->solver = solver_stats;
+  }
 
   if (!failures.empty()) {
     constexpr size_t kMaxListed = 8;
@@ -124,16 +127,14 @@ Result<ExplanationViewSet> ParallelApproxExplain(
     if (failures.size() > kMaxListed) {
       msg += StrFormat("; ... %zu more", failures.size() - kMaxListed);
     }
-    // The cancellation cause is the first hard failure; reuse its code so
-    // callers can still dispatch on it.
-    return Status(cancel->cancelled() ? cancel->cause().code()
-                                      : StatusCode::kInternal,
-                  std::move(msg));
+    // Reuse the first failure's code so callers can still dispatch on it.
+    return Status(first_failure, std::move(msg));
   }
   if (not_attempted > 0) {
-    // Stopped without an internal failure: the token's deadline passed,
-    // or the caller cancelled it.
-    Status cause = cancel->cause();
+    // Stopped without a failure: the caller's token was cancelled, or its
+    // deadline passed.
+    const size_t done = items.size() - not_attempted;
+    Status cause = stop.cause();
     if (cause.IsTimeout()) {
       std::string note = StrFormat(
           "explanation deadline expired: %zu/%zu graphs done, %zu outstanding",
@@ -156,28 +157,22 @@ Result<ExplanationViewSet> ParallelApproxExplain(
     PerViewBuildStats stats;
     for (size_t i = 0; i < items.size(); ++i) {
       if (items[i].label != l) continue;
+      Outcome& out = outcomes[i];
       ++stats.attempted;
-      if (!results[i].ok()) {
-        const Status& st = results[i].status();
-        if (st.IsInfeasible()) {
-          ++stats.infeasible;
-        } else {
-          ++stats.invalid;
-        }
-        GVEX_LOG(Warning) << "label " << l << ": graph "
-                          << items[i].graph_index
-                          << " contributed no subgraph: " << st.ToString();
+      if (!out.result.ok()) {
+        ++stats.infeasible;
+        GVEX_LOG(Debug) << "graph " << items[i].graph_index
+                        << " infeasible for label " << l;
         continue;
       }
-      if (resumed[i]) ++stats.resumed;
+      if (out.resumed) ++stats.resumed;
       ++stats.explained;
-      view.explainability += results[i]->explainability;
-      view.subgraphs.push_back(std::move(*results[i]));
+      view.explainability += out.result->explainability;
+      view.subgraphs.push_back(std::move(*out.result));
     }
-    std::sort(view.subgraphs.begin(), view.subgraphs.end(),
-              [](const ExplanationSubgraph& a, const ExplanationSubgraph& b) {
-                return a.graph_index < b.graph_index;
-              });
+    // Items follow LabelGroup, so the subgraphs are in graph-index order.
+    // Summarize phase: one pattern set covering every subgraph of the
+    // label group (the view invariant: P^l covers the nodes of G_s^l).
     std::vector<Graph> raw;
     raw.reserve(view.subgraphs.size());
     for (const auto& s : view.subgraphs) raw.push_back(s.subgraph);
@@ -187,16 +182,6 @@ Result<ExplanationViewSet> ParallelApproxExplain(
     set.views.push_back(std::move(view));
   }
   return set;
-}
-
-Result<ExplanationViewSet> ParallelApproxExplain(
-    const GcnClassifier& model, const GraphDatabase& db,
-    const std::vector<ClassLabel>& assigned,
-    const std::vector<ClassLabel>& labels, const Configuration& config,
-    size_t num_threads) {
-  ParallelExplainOptions options;
-  options.num_threads = num_threads;
-  return ParallelApproxExplain(model, db, assigned, labels, config, options);
 }
 
 }  // namespace gvex

@@ -45,12 +45,6 @@ std::string ExplanationView::Summary() const {
       explainability, Compression());
 }
 
-double ExplanationViewSet::TotalExplainability() const {
-  double total = 0.0;
-  for (const auto& v : views) total += v.explainability;
-  return total;
-}
-
 const ExplanationView* ExplanationViewSet::ForLabel(ClassLabel l) const {
   for (const auto& v : views) {
     if (v.label == l) return &v;

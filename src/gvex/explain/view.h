@@ -49,7 +49,6 @@ struct ExplanationView {
 struct ExplanationViewSet {
   std::vector<ExplanationView> views;
 
-  double TotalExplainability() const;
   const ExplanationView* ForLabel(ClassLabel l) const;
 };
 

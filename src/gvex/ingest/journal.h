@@ -3,9 +3,10 @@
 // checkpoints, so a kill -9'd server resumes ingest exactly where it
 // stopped.
 //
-// Layout mirrors the explanation checkpoint (explain/checkpoint.h): a
-// magic line followed by CRC32-framed records (io_util.h), tolerant of a
-// torn tail. Two record kinds:
+// Layout and resume are the explanation checkpoint's (explain/checkpoint.h),
+// through the same JournalFile (common/io_util.h): a magic line followed
+// by CRC32-framed records, with a torn tail cut off on resume. Two record
+// kinds:
 //
 //   graph <seq> <client_id> <label>\n<gvexgraph-v1 bytes>
 //     — one accepted ingest, journaled *before* it reaches the solver.
@@ -21,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "gvex/common/io_util.h"
 #include "gvex/common/result.h"
 #include "gvex/common/text_codec.h"
 #include "gvex/explain/stream_gvex.h"
@@ -58,7 +59,7 @@ struct IngestReplay {
 class IngestJournal {
  public:
   /// Open a journal at `path`. With `resume`, existing records are loaded
-  /// (tolerating a torn tail) and later appends extend the file; without,
+  /// (a torn tail is cut off) and later appends extend the file; without,
   /// any existing file is truncated.
   static Result<std::unique_ptr<IngestJournal>> Open(const std::string& path,
                                                      bool resume);
@@ -80,11 +81,12 @@ class IngestJournal {
  private:
   IngestJournal() = default;
 
-  Status AppendLocked(const TextWriter& record);
+  /// Parse one record into replay_.
+  Status ReplayRecord(std::string_view payload);
 
   mutable std::mutex mu_;
   std::string path_;
-  std::unique_ptr<std::ofstream> out_;
+  std::unique_ptr<JournalFile> file_;
   IngestReplay replay_;
 };
 

@@ -143,6 +143,27 @@ TEST_F(CliTest, ExitCodesMapStatusCodes) {
   EXPECT_EQ(cli::Run({"stats", "--db", Path("x"), "--fail", "nonsense"}), 2);
 }
 
+TEST_F(CliTest, ExplainRejectsAnInvalidCoverageBound) {
+  ASSERT_EQ(cli::Run({"gen", "--dataset", "MUT", "--scale", "0.1", "--out",
+                      Path("db.txt")}),
+            0);
+  ASSERT_EQ(cli::Run({"train", "--db", Path("db.txt"), "--out",
+                      Path("model.txt"), "--epochs", "20"}),
+            0);
+  // The bound is checked per graph: kInvalidArgument fails the build -> 2,
+  // exactly as ApproxGvex::Explain fails, and no view file is written.
+  for (const auto& bounds : std::vector<std::vector<std::string>>{
+           {"--ul", "0"}, {"--bl", "6", "--ul", "3"}}) {
+    std::vector<std::string> argv = {"explain", "--db", Path("db.txt"),
+                                     "--model", Path("model.txt"),
+                                     "--labels", "0,1", "--out",
+                                     Path("views.txt")};
+    argv.insert(argv.end(), bounds.begin(), bounds.end());
+    EXPECT_EQ(cli::Run(argv), 2) << bounds.back();
+    EXPECT_FALSE(fs::exists(Path("views.txt")));
+  }
+}
+
 TEST_F(CliTest, FailFlagInjectsFaults) {
   // The injected write failure survives the retry loop and surfaces as the
   // IoError exit code; nothing is left under the final path.

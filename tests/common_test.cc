@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <set>
+#include <stdexcept>
 #include <thread>
 
 #include "gvex/common/cancellation.h"
@@ -172,17 +173,6 @@ TEST(StringUtilTest, StripAndPrefix) {
   EXPECT_FALSE(StartsWith("gv", "gvex"));
 }
 
-TEST(ThreadPoolTest, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 100; ++i) {
-    futures.push_back(pool.Submit([&counter] { counter.fetch_add(1); }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(counter.load(), 100);
-}
-
 TEST(ThreadPoolTest, ParallelForCoversRange) {
   ThreadPool pool(3);
   std::vector<std::atomic<int>> hits(257);
@@ -216,14 +206,115 @@ TEST(ThreadPoolTest, ParallelForGrainCoversRangeOnce) {
 
 TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
   // Outer iterations saturate every worker, then each issues an inner
-  // ParallelFor on the same pool. The caller-participation + help-drain
-  // design must make progress even with all workers parked in inner waits.
+  // ParallelFor on the same pool. Inner loops run inline on their outer
+  // chunk's thread, so nothing ever waits on a busy pool.
   ThreadPool pool(4);
   std::atomic<int> total{0};
   pool.ParallelFor(8, [&](size_t) {
     pool.ParallelFor(16, [&](size_t) { total.fetch_add(1); });
   });
   EXPECT_EQ(total.load(), 8 * 16);
+}
+
+TEST(ThreadPoolTest, NestedParallelForRunsOnTheCallingThread) {
+  // An outer loop on a 4-worker pool issues inner loops on Shared(): every
+  // inner index runs on the thread that runs its outer chunk.
+  ThreadPool pool(4);
+  constexpr size_t kOuter = 16, kInner = 64;
+  std::vector<std::thread::id> outer_thread(kOuter);
+  std::vector<std::thread::id> inner_thread(kOuter * kInner);
+  pool.ParallelFor(kOuter, [&](size_t o) {
+    outer_thread[o] = std::this_thread::get_id();
+    ThreadPool::Shared().ParallelFor(kInner, [&](size_t i) {
+      inner_thread[o * kInner + i] = std::this_thread::get_id();
+    });
+  });
+  for (size_t o = 0; o < kOuter; ++o) {
+    for (size_t i = 0; i < kInner; ++i) {
+      ASSERT_EQ(inner_thread[o * kInner + i], outer_thread[o])
+          << "outer " << o << ", inner " << i;
+    }
+  }
+}
+
+// Two chunks on a two-worker pool, one on the caller and one on a helper:
+// each chunk announces itself and waits for the other before it goes on,
+// so neither thread can claim both chunks.
+struct ChunkHandshake {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> caller_in{false};
+  std::atomic<bool> helper_in{false};
+
+  /// Announce this chunk, wait for the other; true on the caller.
+  bool Meet() {
+    const bool on_caller = std::this_thread::get_id() == caller;
+    (on_caller ? caller_in : helper_in).store(true);
+    while (!(on_caller ? helper_in : caller_in).load()) {
+      std::this_thread::yield();
+    }
+    return on_caller;
+  }
+};
+
+TEST(ThreadPoolTest, ExceptionOnAHelperReachesTheCaller) {
+  // The helper's chunk throws; ParallelFor rethrows it on the caller.
+  ThreadPool pool(2);
+  ChunkHandshake meet;
+  EXPECT_THROW(pool.ParallelFor(2,
+                                [&](size_t) {
+                                  if (meet.Meet()) return;
+                                  throw std::runtime_error("helper failed");
+                                }),
+               std::runtime_error);
+}
+
+TEST(ThreadPoolTest, ExceptionOnTheCallerWaitsForHelperChunks) {
+  // The caller's chunk throws while the helper's chunk is still running.
+  // The exception must not unwind the caller's frame before that chunk is
+  // done.
+  ThreadPool pool(2);
+  ChunkHandshake meet;
+  std::atomic<bool> helper_done{false};
+  try {
+    pool.ParallelFor(2, [&](size_t) {
+      if (meet.Meet()) throw std::runtime_error("caller failed");
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      helper_done.store(true);
+    });
+    ADD_FAILURE() << "ParallelFor did not rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "caller failed");
+    EXPECT_TRUE(helper_done.load());
+  }
+}
+
+TEST(ThreadPoolTest, CancelledLoopStopsClaimingChunks) {
+  // Index 0 cancels the token. Every other index that started before the
+  // cancel finishes only after it, so each thread (4 helpers plus the
+  // caller) runs at most one index before the cancel, and none after.
+  ThreadPool pool(4);
+  CancellationToken cancel;
+  std::atomic<size_t> ran{0};
+  pool.ParallelFor(
+      1000,
+      [&](size_t i) {
+        ran.fetch_add(1);
+        if (i == 0) {
+          cancel.RequestCancel(Status::Internal("stop"));
+          return;
+        }
+        while (!cancel.cancelled()) std::this_thread::yield();
+      },
+      &cancel);
+  EXPECT_GE(ran.load(), 1u);
+  EXPECT_LE(ran.load(), 5u);
+  EXPECT_TRUE(cancel.cancelled());
+
+  // A token cancelled up front runs nothing, serially or fanned out.
+  ran = 0;
+  ThreadPool(1).ParallelFor(10, [&](size_t) { ran.fetch_add(1); }, &cancel);
+  pool.ParallelFor(10, [&](size_t) { ran.fetch_add(1); }, &cancel);
+  EXPECT_EQ(ran.load(), 0u);
 }
 
 TEST(ThreadPoolTest, SharedPoolIsUsableAndStable) {

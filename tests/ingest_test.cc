@@ -148,12 +148,19 @@ TEST(IngestJournalTest, TolerantOfTornTail) {
     std::ofstream out(path, std::ios::app);
     out << "sec 9999 deadbe";
   }
-  auto resumed = IngestJournal::Open(path, /*resume=*/true);
-  ASSERT_TRUE(resumed.ok());
-  EXPECT_EQ((*resumed)->replay().graphs.size(), 2u);
-  EXPECT_EQ((*resumed)->replay().next_seq, 3u);
-  // Appends after a torn-tail load still produce loadable records.
-  ASSERT_TRUE((*resumed)->AppendGraph(3, 3, 0, ctx.db.graph(2)).ok());
+  {
+    auto resumed = IngestJournal::Open(path, /*resume=*/true);
+    ASSERT_TRUE(resumed.ok());
+    EXPECT_EQ((*resumed)->replay().graphs.size(), 2u);
+    EXPECT_EQ((*resumed)->replay().next_seq, 3u);
+    ASSERT_TRUE((*resumed)->AppendGraph(3, 3, 0, ctx.db.graph(2)).ok());
+  }
+  // The resume cut the torn bytes off, so the acknowledged third graph
+  // replays on the next resume and its sequence number is never reused.
+  auto again = IngestJournal::Open(path, /*resume=*/true);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ((*again)->replay().graphs.size(), 3u);
+  EXPECT_EQ((*again)->replay().next_seq, 4u);
   std::remove(path.c_str());
 }
 

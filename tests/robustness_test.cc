@@ -325,11 +325,18 @@ TEST(CheckpointTest, TolerantOfTornTail) {
     std::ofstream out(path, std::ios::app);
     out << "sec 9999 deadbe";
   }
-  auto resumed = ExplanationCheckpoint::Open(path, /*resume=*/true);
-  ASSERT_TRUE(resumed.ok());
-  EXPECT_EQ((*resumed)->loaded_count(), 2u);
-  // Appends after a torn-tail load still produce loadable records.
-  ASSERT_TRUE((*resumed)->Append(0, TinySubgraph(2)).ok());
+  {
+    auto resumed = ExplanationCheckpoint::Open(path, /*resume=*/true);
+    ASSERT_TRUE(resumed.ok());
+    EXPECT_EQ((*resumed)->loaded_count(), 2u);
+    ASSERT_TRUE((*resumed)->Append(0, TinySubgraph(2)).ok());
+  }
+  // The resume cut the torn bytes off, so the record appended after them
+  // loads on the next resume.
+  auto again = ExplanationCheckpoint::Open(path, /*resume=*/true);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ((*again)->loaded_count(), 3u);
+  EXPECT_NE((*again)->Find(0, 2), nullptr);
   std::remove(path.c_str());
 }
 
@@ -372,8 +379,10 @@ TEST(ParallelRobustnessTest, ExpiredDeadlineReturnsTimeout) {
 TEST(ParallelRobustnessTest, AggregatesFailuresIntoStatus) {
   const auto& ctx = MutagenicityContext();
   failpoint::ScopedFailpoint fp("approx.explain_graph", "error(internal)");
+  CancellationToken caller;
   ParallelExplainOptions options;
   options.num_threads = 1;
+  options.cancel = &caller;
   ParallelExplainReport report;
   options.report = &report;
   auto set = ParallelApproxExplain(ctx.model, ctx.db, ctx.assigned, {0, 1},
@@ -386,6 +395,9 @@ TEST(ParallelRobustnessTest, AggregatesFailuresIntoStatus) {
   EXPECT_GT(report.not_attempted, 0u);
   EXPECT_NE(set.status().message().find("outstanding cancelled"),
             std::string::npos);
+  // The failure stopped the build through its own token; the caller's
+  // token is only read.
+  EXPECT_FALSE(caller.cancelled());
 }
 
 TEST(ParallelRobustnessTest, ReportCountsEveryGraphOutcome) {
@@ -399,8 +411,7 @@ TEST(ParallelRobustnessTest, ReportCountsEveryGraphOutcome) {
   ASSERT_TRUE(set.ok());
   size_t total_attempted = 0;
   for (const auto& [label, stats] : report.per_view) {
-    EXPECT_EQ(stats.attempted,
-              stats.explained + stats.infeasible + stats.invalid)
+    EXPECT_EQ(stats.attempted, stats.explained + stats.infeasible)
         << "label " << label;
     EXPECT_EQ(stats.explained, set->ForLabel(label)->subgraphs.size());
     total_attempted += stats.attempted;

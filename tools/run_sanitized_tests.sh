@@ -57,3 +57,9 @@ cmake --preset tsan
 cmake --build --preset tsan -j "$(nproc)"
 TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" build-tsan/tests/gvex_tests \
   --gtest_filter='Serve*:RouteQuota*:Ingest*:Replication*:ShardRouter*:Cluster*:Zoo*:ThreadPool*:Parallel*:Chaos*:Publish*:ObsTest.*:CheckpointTest.*:MatchCache*:InferConcurrency*'
+
+# The pool suite once more, 100 times over: its claim/finish handshake,
+# inline nesting and exception hand-off are timing-dependent, so one pass
+# samples few interleavings.
+TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" build-tsan/tests/gvex_tests \
+  --gtest_filter='ThreadPool*' --gtest_repeat=100
