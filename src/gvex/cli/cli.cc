@@ -6,11 +6,14 @@
 #include <cstdio>
 #include <fstream>
 #include <functional>
-#include <map>
+#include <limits>
 #include <memory>
 #include <optional>
-#include <set>
+#include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "gvex/cluster/bundle.h"
 #include "gvex/cluster/publisher.h"
@@ -21,8 +24,10 @@
 #include "gvex/common/cancellation.h"
 #include "gvex/common/failpoint.h"
 #include "gvex/common/io_util.h"
+#include "gvex/common/logging.h"
 #include "gvex/common/stopwatch.h"
 #include "gvex/common/string_util.h"
+#include "gvex/common/text_codec.h"
 #include "gvex/datasets/datasets.h"
 #include "gvex/explain/approx_gvex.h"
 #include "gvex/explain/checkpoint.h"
@@ -45,102 +50,201 @@ namespace gvex {
 namespace cli {
 namespace {
 
-// ---- flag parsing -------------------------------------------------------------
+// ---- flags --------------------------------------------------------------------
+//
+// A command's synopsis in kCommands (end of file) is the one definition of
+// its flags: Flags::Parse checks a command line against it, the usage text
+// prints it, and docs-lint checks that each flag it names is documented.
+//
+//   --name KIND     required        [--name KIND=v]  optional, default v
+//   [--name KIND]   optional        [--name]         a switch
+//   (a | b)         alternatives that the command checks
+//
+// A KIND in kKinds is checked: a number must parse in full and fit the
+// type of the field it sets. A KIND of words joined by '|' takes exactly
+// those words. Any other KIND (PATH, NAME, ...) is text.
+
+Result<std::vector<ClassLabel>> ParseLabels(std::string_view spec) {
+  std::vector<ClassLabel> labels;
+  for (const std::string& part : SplitString(std::string(spec), ',')) {
+    ClassLabel label = 0;
+    if (!ParseNumber(part, &label) || label < 0) {
+      return Status::InvalidArgument("'" + part + "' is not a label");
+    }
+    if (std::find(labels.begin(), labels.end(), label) != labels.end()) {
+      return Status::InvalidArgument("label " + part + " is listed twice");
+    }
+    labels.push_back(label);
+  }
+  if (labels.empty()) return Status::InvalidArgument("no labels");
+  return labels;
+}
+
+template <TextNumber T>
+Status CheckNumber(std::string_view value) {
+  using Limits = std::numeric_limits<T>;
+  T parsed{};
+  if (ParseNumber(value, &parsed)) return Status::OK();
+  return Status::InvalidArgument(
+      !Limits::is_integer ? "expected a finite number"
+                          : "expected an integer in [" +
+                                std::to_string(Limits::min()) + ", " +
+                                std::to_string(Limits::max()) + "]");
+}
+
+// The `client --type` words are kRequestTypes' wire names.
+Status CheckRequestType(std::string_view value) {
+  if (serve::RequestTypeFromName(value)) return Status::OK();
+  std::string names;
+  for (const serve::RequestTypeInfo& row : serve::kRequestTypes) {
+    names += (names.empty() ? "" : "|") + std::string(row.name);
+  }
+  return Status::InvalidArgument("expected one of " + names);
+}
+
+using ValueCheck = Status (*)(std::string_view value);
+
+// The checked KINDs. A numeric one names the type of the field it sets.
+constexpr std::pair<std::string_view, ValueCheck> kKinds[] = {
+    {"PORT", CheckNumber<uint16_t>}, {"MS", CheckNumber<uint32_t>},
+    {"K", CheckNumber<uint32_t>},    {"N", CheckNumber<size_t>},
+    {"TRIES", CheckNumber<int>},     {"ID", CheckNumber<uint64_t>},
+    {"SEED", CheckNumber<uint64_t>}, {"LABEL", CheckNumber<ClassLabel>},
+    {"INDEX", CheckNumber<int32_t>}, {"X", CheckNumber<double>},
+    {"TYPE", CheckRequestType},
+    {"LABELS", [](std::string_view v) { return ParseLabels(v).status(); }}};
+
+// Flags that every command takes.
+constexpr std::string_view kCommonFlags =
+    "[--fail SPEC] [--metrics-out PATH] [--trace-out PATH]";
+
+struct FlagSpec {
+  std::string name;  // without the leading "--"
+  std::string kind;  // empty for a switch
+  std::optional<std::string> fallback;
+  bool required = false;
+  ValueCheck check = nullptr;        // from kKinds
+  std::optional<std::string> value;  // as given on the command line
+};
+
+Status CheckValue(const FlagSpec& spec, std::string_view value) {
+  if (spec.check != nullptr) return spec.check(value);
+  if (spec.kind.find('|') == std::string::npos) return Status::OK();
+  for (const std::string& word : SplitString(spec.kind, '|')) {
+    if (word == value) return Status::OK();
+  }
+  return Status::InvalidArgument("expected one of " + spec.kind);
+}
+
+// The flags a synopsis names; one outside all brackets is required.
+Result<std::vector<FlagSpec>> ParseSynopsis(
+    const std::vector<std::string_view>& lines) {
+  std::vector<FlagSpec> specs;
+  int depth = 0;
+  bool kind_next = false;  // the word after a flag is its KIND
+  for (std::string_view line : lines) {
+    for (std::string word : SplitString(std::string(line), ' ')) {
+      for (; word[0] == '[' || word[0] == '('; word.erase(0, 1)) ++depth;
+      const size_t close = std::min(word.find_first_of("])"), word.size());
+      const std::string head = word.substr(0, close);
+      if (StartsWith(head, "--")) {
+        specs.emplace_back().name = head.substr(2);
+        specs.back().required = depth == 0;
+      } else if (kind_next && head != "|") {
+        FlagSpec& spec = specs.back();
+        const size_t eq = head.find('=');
+        spec.kind = head.substr(0, eq);
+        if (eq != std::string::npos) spec.fallback = head.substr(eq + 1);
+        for (const auto& [kind, check] : kKinds) {
+          if (kind == spec.kind) spec.check = check;
+        }
+        if (spec.fallback) GVEX_RETURN_NOT_OK(CheckValue(spec, *spec.fallback));
+      }
+      kind_next = StartsWith(head, "--") && close == word.size();
+      depth -= static_cast<int>(word.size() - close);
+    }
+  }
+  return specs;
+}
 
 class Flags {
  public:
-  static Result<Flags> Parse(const std::vector<std::string>& args) {
-    // Boolean flags take no value; their presence means "true".
-    static const std::set<std::string> kBoolFlags = {"resume",
-                                                     "no-health-gate",
-                                                     "describe",
-                                                     "ingest",
-                                                     "publish",
-                                                     "status"};
+  /// Checks `args` against a command's synopsis: each flag is one it
+  /// names, with a value unless it is a switch; each value fits its KIND;
+  /// each required flag is given. A repeated flag keeps its last value,
+  /// and a value is taken verbatim, even when it starts with "--".
+  static Result<Flags> Parse(std::vector<std::string_view> synopsis,
+                             const std::vector<std::string>& args) {
+    synopsis.push_back(kCommonFlags);
     Flags flags;
+    GVEX_ASSIGN_OR_RETURN(flags.specs_, ParseSynopsis(synopsis));
     for (size_t i = 0; i < args.size(); ++i) {
-      if (!StartsWith(args[i], "--")) {
-        return Status::InvalidArgument("unexpected argument: " + args[i]);
+      const std::string& arg = args[i];
+      auto spec = std::find_if(
+          flags.specs_.begin(), flags.specs_.end(),
+          [&](const FlagSpec& s) { return arg == "--" + s.name; });
+      if (spec == flags.specs_.end()) {
+        return Status::InvalidArgument(
+            (StartsWith(arg, "--") ? "unknown flag " : "unexpected argument ") +
+            arg);
       }
-      std::string key = args[i].substr(2);
-      if (kBoolFlags.count(key) > 0) {
-        flags.values_[key] = "1";
-        continue;
+      spec->value = "";
+      if (spec->kind.empty()) continue;
+      if (++i == args.size()) {
+        return Status::InvalidArgument("flag " + arg + " needs a value");
       }
-      if (i + 1 >= args.size()) {
-        return Status::InvalidArgument("flag --" + key + " needs a value");
+      if (Status fits = CheckValue(*spec, args[i]); !fits.ok()) {
+        return Status::InvalidArgument(arg + " " + args[i] + ": " +
+                                       fits.message());
       }
-      flags.values_[key] = args[++i];
+      spec->value = args[i];
+    }
+    for (const FlagSpec& spec : flags.specs_) {
+      if (spec.required) GVEX_RETURN_NOT_OK(flags.Require(spec.name).status());
     }
     return flags;
   }
 
-  std::optional<std::string> Get(const std::string& key) const {
-    auto it = values_.find(key);
-    if (it == values_.end()) return std::nullopt;
-    return it->second;
+  /// Whether the command line gave the flag.
+  bool Has(std::string_view name) const { return Spec(name).value.has_value(); }
+
+  /// The given value, else the default; a required flag always has one.
+  std::optional<std::string> Get(std::string_view name) const {
+    const FlagSpec& spec = Spec(name);
+    return spec.value ? spec.value : spec.fallback;
   }
 
-  bool Has(const std::string& key) const { return values_.count(key) > 0; }
-
-  Result<std::string> Require(const std::string& key) const {
-    auto v = Get(key);
-    if (!v) return Status::InvalidArgument("missing required flag --" + key);
-    return *v;
+  /// For a flag that only some modes of a command need.
+  Result<std::string> Require(std::string_view name) const {
+    if (auto v = Get(name)) return *v;
+    return Status::InvalidArgument("missing required flag --" +
+                                   std::string(name));
   }
 
-  double GetDouble(const std::string& key, double fallback) const {
-    auto v = Get(key);
-    return v ? std::atof(v->c_str()) : fallback;
-  }
-
-  long GetInt(const std::string& key, long fallback) const {
-    auto v = Get(key);
-    return v ? std::atol(v->c_str()) : fallback;
+  /// The value, else the default, read as the type its KIND names.
+  template <TextNumber T>
+  T Number(std::string_view name) const {
+    GVEX_CHECK(Spec(name).check == &CheckNumber<T>)
+        << "--" << name << " is read as a type its KIND does not name";
+    T value{};
+    GVEX_CHECK(ParseNumber(Get(name).value_or(""), &value))
+        << "--" << name << " has no value and no default";
+    return value;
   }
 
  private:
-  std::map<std::string, std::string> values_;
+  // A command reads only the flags that its synopsis names.
+  const FlagSpec& Spec(std::string_view name) const {
+    auto it = std::find_if(specs_.begin(), specs_.end(),
+                           [&](const FlagSpec& s) { return s.name == name; });
+    GVEX_CHECK(it != specs_.end()) << "--" << name << " is not in synopsis";
+    return *it;
+  }
+
+  std::vector<FlagSpec> specs_;
 };
 
-void Usage() {
-  std::fprintf(stderr,
-               "usage: gvex_tool <gen|stats|train|explain|verify|fidelity|"
-               "query|serve|client|publish|ingest|evaluate|shardmap|frontend> "
-               "[--flags]\n"
-               "zoo: serve --zoo routes.txt binds explainer configs to "
-               "routes; evaluate scores one against planted-motif ground "
-               "truth and gates on --min-fidelity/--min-accuracy "
-               "(docs/SERVING.md \"Explainer zoo\")\n"
-               "cluster: serve --follow unix:<path>|tcp:<port> tails a "
-               "primary; publish ships a view bundle to a running server "
-               "(--targets a,b,c fans out with a health gate; --shard-map "
-               "map.bin partitions it across a fleet)\n"
-               "live ingest: serve --ingest keeps a resident StreamGVEX "
-               "behind the server (journaled, drift-triggered auto-publish); "
-               "ingest streams a graph database into it "
-               "(docs/SERVING.md \"Live ingest\")\n"
-               "fleet: shardmap creates/describes a gvexshardmap-v1 "
-               "topology; frontend serves scatter-gather queries for the "
-               "whole fleet behind one socket (docs/WIRE_PROTOCOL.md)\n"
-               "admission: serve --route-quota name=depth[:share] sheds a "
-               "route's overflow without touching other routes\n"
-               "observability: --metrics-out <file> (PerfReport JSON), "
-               "--trace-out <file> (chrome://tracing)\n"
-               "see src/gvex/cli/cli.h for the full synopsis\n");
-}
-
 // ---- shared loaders -----------------------------------------------------------
-
-Result<GraphDatabase> LoadDb(const Flags& flags) {
-  GVEX_ASSIGN_OR_RETURN(std::string path, flags.Require("db"));
-  return LoadDatabase(path);
-}
-
-Result<GcnClassifier> LoadModel(const Flags& flags) {
-  GVEX_ASSIGN_OR_RETURN(std::string path, flags.Require("model"));
-  return GcnSerializer::Load(path);
-}
 
 // A pattern or query graph file: one gvexgraph-v1 record.
 Result<Graph> LoadGraphFile(const std::string& path) {
@@ -151,43 +255,30 @@ Result<Graph> LoadGraphFile(const std::string& path) {
 
 Configuration ConfigFromFlags(const Flags& flags) {
   Configuration config;
-  config.theta = static_cast<float>(flags.GetDouble("theta", 0.08));
-  config.radius = static_cast<float>(flags.GetDouble("radius", 0.25));
-  config.gamma = static_cast<float>(flags.GetDouble("gamma", 0.5));
-  config.default_coverage.lower =
-      static_cast<size_t>(flags.GetInt("bl", 0));
-  config.default_coverage.upper =
-      static_cast<size_t>(flags.GetInt("ul", 15));
+  config.theta = static_cast<float>(flags.Number<double>("theta"));
+  config.radius = static_cast<float>(flags.Number<double>("radius"));
+  config.gamma = static_cast<float>(flags.Number<double>("gamma"));
+  config.default_coverage.lower = flags.Number<size_t>("bl");
+  config.default_coverage.upper = flags.Number<size_t>("ul");
   return config;
-}
-
-Result<std::vector<ClassLabel>> ParseLabels(const std::string& spec) {
-  std::vector<ClassLabel> labels;
-  for (const std::string& part : SplitString(spec, ',')) {
-    labels.push_back(static_cast<ClassLabel>(std::atoi(part.c_str())));
-  }
-  if (labels.empty()) return Status::InvalidArgument("no labels in " + spec);
-  return labels;
 }
 
 // ---- subcommands --------------------------------------------------------------
 
 Status CmdGen(const Flags& flags) {
-  GVEX_ASSIGN_OR_RETURN(std::string dataset, flags.Require("dataset"));
-  GVEX_ASSIGN_OR_RETURN(std::string out, flags.Require("out"));
-  double scale = flags.GetDouble("scale", 1.0);
-  // --seed offsets the generator so repeated runs can produce distinct
-  // but reproducible databases (default 0 keeps historic output).
-  uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 0));
-  GVEX_ASSIGN_OR_RETURN(GraphDatabase db,
-                        datasets::MakeByName(dataset, scale, seed));
+  const std::string out = *flags.Get("out");
+  // --seed offsets the generator: distinct but reproducible databases.
+  GVEX_ASSIGN_OR_RETURN(
+      GraphDatabase db,
+      datasets::MakeByName(*flags.Get("dataset"), flags.Number<double>("scale"),
+                           flags.Number<uint64_t>("seed")));
   GVEX_RETURN_NOT_OK(SaveDatabase(db, out));
   std::printf("wrote %zu graphs to %s\n", db.size(), out.c_str());
   return Status::OK();
 }
 
 Status CmdStats(const Flags& flags) {
-  GVEX_ASSIGN_OR_RETURN(GraphDatabase db, LoadDb(flags));
+  GVEX_ASSIGN_OR_RETURN(GraphDatabase db, LoadDatabase(*flags.Get("db")));
   auto s = db.ComputeStats();
   std::printf("graphs %zu, classes %zu, avg nodes %.1f, avg edges %.1f, "
               "features/node %zu\n",
@@ -197,29 +288,26 @@ Status CmdStats(const Flags& flags) {
 }
 
 Status CmdTrain(const Flags& flags) {
-  GVEX_ASSIGN_OR_RETURN(GraphDatabase db, LoadDb(flags));
-  GVEX_ASSIGN_OR_RETURN(std::string out, flags.Require("out"));
+  GVEX_ASSIGN_OR_RETURN(GraphDatabase db, LoadDatabase(*flags.Get("db")));
+  const std::string out = *flags.Get("out");
   GcnConfig mc;
   mc.input_dim = db.feature_dim();
-  mc.hidden_dim = static_cast<size_t>(flags.GetInt("hidden", 32));
-  mc.num_layers = static_cast<size_t>(flags.GetInt("layers", 3));
+  mc.hidden_dim = flags.Number<size_t>("hidden");
+  mc.num_layers = flags.Number<size_t>("layers");
   mc.num_classes = db.num_classes();
-  std::string agg = flags.Get("aggregator").value_or("gcn");
+  const std::string agg = *flags.Get("aggregator");
   if (agg == "mean") {
     mc.propagation = Graph::PropagationKind::kMeanNeighbor;
   } else if (agg == "sum") {
     mc.propagation = Graph::PropagationKind::kSumNeighbor;
-  } else if (agg != "gcn") {
-    return Status::InvalidArgument("unknown aggregator: " + agg);
   }
   GVEX_ASSIGN_OR_RETURN(GcnClassifier model, GcnClassifier::Create(mc));
-  DataSplit split = SplitDatabase(db, 0.8, 0.1,
-                                  static_cast<uint64_t>(flags.GetInt("seed", 42)));
+  DataSplit split =
+      SplitDatabase(db, 0.8, 0.1, flags.Number<uint64_t>("seed"));
   TrainerConfig tc;
-  tc.epochs = static_cast<size_t>(flags.GetInt("epochs", 150));
+  tc.epochs = flags.Number<size_t>("epochs");
   tc.patience = tc.epochs / 2;
-  tc.adam.learning_rate =
-      static_cast<float>(flags.GetDouble("lr", 5e-3));
+  tc.adam.learning_rate = static_cast<float>(flags.Number<double>("lr"));
   TrainReport report = Trainer(tc).Fit(&model, db, split);
   GVEX_RETURN_NOT_OK(GcnSerializer::Save(model, out));
   std::printf("trained %zu epochs, val acc %.3f, test acc %.3f; model -> %s\n",
@@ -229,12 +317,12 @@ Status CmdTrain(const Flags& flags) {
 }
 
 Status CmdExplain(const Flags& flags) {
-  GVEX_ASSIGN_OR_RETURN(GraphDatabase db, LoadDb(flags));
-  GVEX_ASSIGN_OR_RETURN(GcnClassifier model, LoadModel(flags));
-  GVEX_ASSIGN_OR_RETURN(std::string out, flags.Require("out"));
-  GVEX_ASSIGN_OR_RETURN(std::string label_spec, flags.Require("labels"));
+  GVEX_ASSIGN_OR_RETURN(GraphDatabase db, LoadDatabase(*flags.Get("db")));
+  GVEX_ASSIGN_OR_RETURN(GcnClassifier model,
+                        GcnSerializer::Load(*flags.Get("model")));
+  const std::string out = *flags.Get("out");
   GVEX_ASSIGN_OR_RETURN(std::vector<ClassLabel> labels,
-                        ParseLabels(label_spec));
+                        ParseLabels(*flags.Get("labels")));
   Configuration config = ConfigFromFlags(flags);
   std::vector<ClassLabel> assigned = AssignLabels(model, db);
 
@@ -252,13 +340,12 @@ Status CmdExplain(const Flags& flags) {
     return Status::InvalidArgument("--resume requires --checkpoint <path>");
   }
   CancellationToken cancel;
-  const double budget = flags.GetDouble("budget", 0.0);
+  const double budget = flags.Number<double>("budget");
   if (budget > 0.0) cancel.ExpireAfter(budget);
-  size_t threads = static_cast<size_t>(flags.GetInt("threads", 1));
+  const size_t threads = flags.Number<size_t>("threads");
 
-  std::string algorithm = flags.Get("algorithm").value_or("approx");
   ExplanationViewSet set;
-  if (algorithm == "approx") {
+  if (*flags.Get("algorithm") == "approx") {
     ParallelExplainOptions options;
     options.num_threads = threads == 0 ? 1 : threads;
     options.cancel = &cancel;
@@ -274,18 +361,16 @@ Status CmdExplain(const Flags& flags) {
           label, stats.explained, stats.attempted, stats.resumed,
           stats.infeasible);
     }
-  } else if (algorithm == "stream") {
+  } else {
     if (checkpoint != nullptr) {
       return Status::InvalidArgument(
           "--checkpoint applies to --algorithm approx (stream uses in-process "
           "Snapshot/Restore)");
     }
     StreamGvex solver(&model, config);
-    uint64_t order_seed = static_cast<uint64_t>(flags.GetInt("seed", 0));
-    GVEX_ASSIGN_OR_RETURN(
-        set, solver.Explain(db, assigned, labels, &cancel, order_seed));
-  } else {
-    return Status::InvalidArgument("unknown algorithm: " + algorithm);
+    GVEX_ASSIGN_OR_RETURN(set,
+                          solver.Explain(db, assigned, labels, &cancel,
+                                         flags.Number<uint64_t>("seed")));
   }
   GVEX_RETURN_NOT_OK(SaveViewSet(set, out));
   for (const auto& view : set.views) {
@@ -296,10 +381,11 @@ Status CmdExplain(const Flags& flags) {
 }
 
 Status CmdVerify(const Flags& flags) {
-  GVEX_ASSIGN_OR_RETURN(GraphDatabase db, LoadDb(flags));
-  GVEX_ASSIGN_OR_RETURN(GcnClassifier model, LoadModel(flags));
-  GVEX_ASSIGN_OR_RETURN(std::string views_path, flags.Require("views"));
-  GVEX_ASSIGN_OR_RETURN(ExplanationViewSet set, LoadViewSet(views_path));
+  GVEX_ASSIGN_OR_RETURN(GraphDatabase db, LoadDatabase(*flags.Get("db")));
+  GVEX_ASSIGN_OR_RETURN(GcnClassifier model,
+                        GcnSerializer::Load(*flags.Get("model")));
+  GVEX_ASSIGN_OR_RETURN(ExplanationViewSet set,
+                        LoadViewSet(*flags.Get("views")));
   Configuration config = ConfigFromFlags(flags);
   bool all_ok = true;
   for (const auto& view : set.views) {
@@ -315,10 +401,11 @@ Status CmdVerify(const Flags& flags) {
 }
 
 Status CmdFidelity(const Flags& flags) {
-  GVEX_ASSIGN_OR_RETURN(GraphDatabase db, LoadDb(flags));
-  GVEX_ASSIGN_OR_RETURN(GcnClassifier model, LoadModel(flags));
-  GVEX_ASSIGN_OR_RETURN(std::string views_path, flags.Require("views"));
-  GVEX_ASSIGN_OR_RETURN(ExplanationViewSet set, LoadViewSet(views_path));
+  GVEX_ASSIGN_OR_RETURN(GraphDatabase db, LoadDatabase(*flags.Get("db")));
+  GVEX_ASSIGN_OR_RETURN(GcnClassifier model,
+                        GcnSerializer::Load(*flags.Get("model")));
+  GVEX_ASSIGN_OR_RETURN(ExplanationViewSet set,
+                        LoadViewSet(*flags.Get("views")));
   for (const auto& view : set.views) {
     FidelityReport fid =
         EvaluateFidelity(model, db, ToGraphExplanations(view));
@@ -331,11 +418,10 @@ Status CmdFidelity(const Flags& flags) {
 }
 
 Status CmdQuery(const Flags& flags) {
-  GVEX_ASSIGN_OR_RETURN(std::string views_path, flags.Require("views"));
-  GVEX_ASSIGN_OR_RETURN(ExplanationViewSet set, LoadViewSet(views_path));
-  GVEX_ASSIGN_OR_RETURN(std::string pattern_path, flags.Require("pattern"));
-  GVEX_ASSIGN_OR_RETURN(Graph pattern, LoadGraphFile(pattern_path));
-  ClassLabel label = static_cast<ClassLabel>(flags.GetInt("label", -1));
+  GVEX_ASSIGN_OR_RETURN(ExplanationViewSet set,
+                        LoadViewSet(*flags.Get("views")));
+  GVEX_ASSIGN_OR_RETURN(Graph pattern, LoadGraphFile(*flags.Get("pattern")));
+  const ClassLabel label = flags.Number<ClassLabel>("label");
 
   MatchOptions loose;
   loose.semantics = MatchSemantics::kSubgraph;
@@ -358,8 +444,7 @@ Status CmdQuery(const Flags& flags) {
 Result<serve::Endpoint> EndpointFromFlags(const Flags& flags) {
   if (auto path = flags.Get("socket")) return serve::Endpoint::Unix(*path);
   if (flags.Has("port")) {
-    return serve::Endpoint::Tcp(
-        static_cast<uint16_t>(flags.GetInt("port", 0)));
+    return serve::Endpoint::Tcp(flags.Number<uint16_t>("port"));
   }
   return Status::InvalidArgument("need --socket <path> or --port <n>");
 }
@@ -369,7 +454,6 @@ Result<serve::Endpoint> EndpointFromFlags(const Flags& flags) {
 Result<std::vector<serve::Endpoint>> TargetsFromSpec(const std::string& spec) {
   std::vector<serve::Endpoint> targets;
   for (const std::string& entry : SplitString(spec, ',')) {
-    if (entry.empty()) continue;
     GVEX_ASSIGN_OR_RETURN(serve::Endpoint target,
                           cluster::ParseEndpointSpec(entry));
     targets.push_back(std::move(target));
@@ -381,10 +465,9 @@ Result<std::vector<serve::Endpoint>> TargetsFromSpec(const std::string& spec) {
 // --shard-map`, and `serve --ingest` auto-publish.
 cluster::PublishOptions PublishOptionsFromFlags(const Flags& flags) {
   cluster::PublishOptions popts;
-  popts.retries = static_cast<int>(flags.GetInt("retry", 2));
-  popts.backoff_base_ms =
-      static_cast<uint32_t>(flags.GetInt("retry-backoff-ms", 50));
-  popts.jitter_seed = static_cast<uint64_t>(flags.GetInt("seed", 0));
+  popts.retries = flags.Number<int>("retry");
+  popts.backoff_base_ms = flags.Number<uint32_t>("retry-backoff-ms");
+  popts.jitter_seed = flags.Number<uint64_t>("seed");
   popts.health_gate = !flags.Has("no-health-gate");
   return popts;
 }
@@ -420,7 +503,6 @@ Status CmdServe(const Flags& flags) {
   // bundles, and local loads are all covered by the same rejection.
   if (auto exact_spec = flags.Get("exact-fp32")) {
     for (const std::string& entry : SplitString(*exact_spec, ',')) {
-      if (entry.empty()) continue;
       if (!cluster::IsValidRouteName(entry)) {
         return Status::InvalidArgument("--exact-fp32: invalid route name '" +
                                        entry + "'");
@@ -454,9 +536,8 @@ Status CmdServe(const Flags& flags) {
   if (follow) {
     cluster::ReplicatorOptions ropts;
     GVEX_ASSIGN_OR_RETURN(ropts.primary, cluster::ParseEndpointSpec(*follow));
-    ropts.poll_interval_ms =
-        static_cast<uint32_t>(flags.GetInt("poll-ms", 200));
-    ropts.jitter_seed = static_cast<uint64_t>(flags.GetInt("seed", 0));
+    ropts.poll_interval_ms = flags.Number<uint32_t>("poll-ms");
+    ropts.jitter_seed = flags.Number<uint64_t>("seed");
     replicator = std::make_unique<cluster::Replicator>(&registry, ropts);
   }
 
@@ -473,12 +554,10 @@ Status CmdServe(const Flags& flags) {
                           GcnSerializer::Load(model_path));
     ingest::IngestOptions iopts;
     iopts.route = route;
-    iopts.max_pending = static_cast<size_t>(flags.GetInt("ingest-queue", 64));
-    iopts.drift_threshold = flags.GetDouble("drift-threshold", 0.25);
-    iopts.drift_window =
-        static_cast<size_t>(flags.GetInt("drift-window", 16));
-    iopts.checkpoint_cadence =
-        static_cast<size_t>(flags.GetInt("ingest-cadence", 8));
+    iopts.max_pending = flags.Number<size_t>("ingest-queue");
+    iopts.drift_threshold = flags.Number<double>("drift-threshold");
+    iopts.drift_window = flags.Number<size_t>("drift-window");
+    iopts.checkpoint_cadence = flags.Number<size_t>("ingest-cadence");
     iopts.journal_path = flags.Get("ingest-journal").value_or("");
     iopts.resume = flags.Has("resume");
     iopts.config = ConfigFromFlags(flags);
@@ -509,17 +588,15 @@ Status CmdServe(const Flags& flags) {
   }
 
   serve::ServerOptions options;
-  options.num_workers = static_cast<size_t>(flags.GetInt("workers", 4));
-  options.max_queue = static_cast<size_t>(flags.GetInt("queue", 256));
-  options.batch_max = static_cast<size_t>(flags.GetInt("batch", 8));
-  options.default_deadline_ms =
-      static_cast<uint32_t>(flags.GetInt("deadline-ms", 0));
+  options.num_workers = flags.Number<size_t>("workers");
+  options.max_queue = flags.Number<size_t>("queue");
+  options.batch_max = flags.Number<size_t>("batch");
+  options.default_deadline_ms = flags.Number<uint32_t>("deadline-ms");
   // --route-quota a=16:0.25,b=8 — comma-separated name=depth[:share]
   // specs; each caps one route's queue slots (and optionally its share
   // of the workers) so a bursty route sheds before starving the rest.
   if (auto quota_spec = flags.Get("route-quota")) {
     for (const std::string& entry : SplitString(*quota_spec, ',')) {
-      if (entry.empty()) continue;
       GVEX_ASSIGN_OR_RETURN(auto quota, serve::ParseRouteQuotaSpec(entry));
       options.route_quotas[quota.first] = quota.second;
     }
@@ -624,29 +701,19 @@ Status CmdServe(const Flags& flags) {
 }
 
 Result<serve::Request> BuildClientRequest(const Flags& flags) {
-  GVEX_ASSIGN_OR_RETURN(std::string type_name, flags.Require("type"));
-  const std::optional<serve::RequestType> type =
-      serve::RequestTypeFromName(type_name);
-  if (!type) {
-    return Status::InvalidArgument("unknown request type: " + type_name);
-  }
   serve::Request req;
-  req.type = *type;
+  req.type = *serve::RequestTypeFromName(*flags.Get("type"));
   if (auto route = flags.Get("route")) req.route = *route;
-  req.id = static_cast<uint64_t>(flags.GetInt("id", 1));
-  req.label = static_cast<ClassLabel>(flags.GetInt("label", -1));
-  req.against = static_cast<ClassLabel>(flags.GetInt("against", -1));
-  req.deadline_ms = static_cast<uint32_t>(flags.GetInt("deadline-ms", 0));
-  req.max_embeddings =
-      static_cast<size_t>(flags.GetInt("max-embeddings", 64));
-  std::string semantics = flags.Get("semantics").value_or("subgraph");
-  if (semantics == "induced") {
+  req.id = flags.Number<uint64_t>("id");
+  req.label = flags.Number<ClassLabel>("label");
+  req.against = flags.Number<ClassLabel>("against");
+  req.deadline_ms = flags.Number<uint32_t>("deadline-ms");
+  req.max_embeddings = flags.Number<uint32_t>("max-embeddings");
+  if (*flags.Get("semantics") == "induced") {
     req.semantics = MatchSemantics::kInduced;
-  } else if (semantics != "subgraph") {
-    return Status::InvalidArgument("unknown semantics: " + semantics);
   }
   if (auto text = flags.Get("text")) req.text = *text;
-  req.top_k = static_cast<uint32_t>(flags.GetInt("top-k", 10));
+  req.top_k = flags.Number<uint32_t>("top-k");
 
   // Pattern queries carry the pattern as the request graph; classify
   // carries the graph to classify (from a file or a database slot).
@@ -656,13 +723,15 @@ Result<serve::Request> BuildClientRequest(const Flags& flags) {
     // --graph-index on a pattern query restricts the scan to one corpus
     // graph's explanation subgraph — a point query the ShardRouter sends
     // to the owning shard alone.
-    req.graph_index = flags.GetInt("graph-index", -1);
+    req.graph_index =
+        flags.Has("graph-index") ? flags.Number<int32_t>("graph-index") : -1;
   } else if (auto graph_path = flags.Get("graph")) {
     GVEX_ASSIGN_OR_RETURN(req.graph, LoadGraphFile(*graph_path));
     req.has_graph = true;
   } else if (auto db_path = flags.Get("graph-db")) {
     GVEX_ASSIGN_OR_RETURN(GraphDatabase db, LoadDatabase(*db_path));
-    const long index = flags.GetInt("graph-index", 0);
+    const int32_t index =
+        flags.Has("graph-index") ? flags.Number<int32_t>("graph-index") : 0;
     if (index < 0 || static_cast<size_t>(index) >= db.size()) {
       return Status::OutOfRange("--graph-index " + std::to_string(index) +
                                 " outside database of " +
@@ -679,9 +748,6 @@ Result<serve::Request> BuildClientRequest(const Flags& flags) {
 void PrintClientResponse(const serve::Request& req,
                          const serve::Response& resp) {
   switch (req.type) {
-    case serve::RequestType::kPing:
-      std::printf("%s\n", resp.text.c_str());
-      return;
     case serve::RequestType::kSupport:
       std::printf("support %llu\n",
                   static_cast<unsigned long long>(resp.support));
@@ -798,6 +864,7 @@ void PrintClientResponse(const serve::Request& req,
       }
       return;
     }
+    case serve::RequestType::kPing:
     case serve::RequestType::kStats:
     case serve::RequestType::kShutdown:
     case serve::RequestType::kInstall:
@@ -811,17 +878,16 @@ void PrintClientResponse(const serve::Request& req,
 /// `--retry N` on the client verbs (client, ingest, evaluate): re-issue a
 /// request shed with kOverloaded (exit 12; global queue full) or
 /// kQuotaExceeded (exit 13; per-route budget) up to N more times,
-/// sleeping the shared exponential backoff schedule (`--retry-backoff-ms`
-/// base, default 100) between attempts — both mean "try later, the
+/// sleeping the shared exponential backoff schedule (base
+/// `--retry-backoff-ms`) between attempts — both mean "try later, the
 /// server is healthy". kTimeout is deliberately NOT retried: the deadline
 /// already charged the server for the work once, and a retry would
 /// double-spend it (SERVING.md "overload and retries").
 Result<serve::Response> CallRetryingSheds(
     const Flags& flags,
     const std::function<Result<serve::Response>()>& call) {
-  const int retries = static_cast<int>(flags.GetInt("retry", 0));
-  const uint32_t backoff_ms =
-      static_cast<uint32_t>(flags.GetInt("retry-backoff-ms", 100));
+  const int retries = flags.Number<int>("retry");
+  const uint32_t backoff_ms = flags.Number<uint32_t>("retry-backoff-ms");
   for (int attempt = 1;; ++attempt) {
     GVEX_ASSIGN_OR_RETURN(serve::Response resp, call());
     if ((resp.code != StatusCode::kOverloaded &&
@@ -847,7 +913,7 @@ Status CmdClient(const Flags& flags) {
       GVEX_RETURN_NOT_OK(registry.LoadModel(*model_path));
     }
     serve::ServerOptions options;
-    options.num_workers = static_cast<size_t>(flags.GetInt("workers", 1));
+    options.num_workers = flags.Number<size_t>("workers");
     serve::ExplanationServer server(&registry, options);
     GVEX_RETURN_NOT_OK(server.Start());
     GVEX_ASSIGN_OR_RETURN(
@@ -860,9 +926,8 @@ Status CmdClient(const Flags& flags) {
     GVEX_ASSIGN_OR_RETURN(cluster::ShardMap map,
                           cluster::ShardMap::Load(*map_path));
     cluster::RouterOptions ropts;
-    ropts.hedge_ms = static_cast<uint32_t>(flags.GetInt("hedge-ms", 0));
-    ropts.shard_deadline_ms =
-        static_cast<uint32_t>(flags.GetInt("shard-deadline-ms", 0));
+    ropts.hedge_ms = flags.Number<uint32_t>("hedge-ms");
+    ropts.shard_deadline_ms = flags.Number<uint32_t>("shard-deadline-ms");
     GVEX_ASSIGN_OR_RETURN(std::unique_ptr<cluster::ShardRouter> router,
                           cluster::MakeSocketRouter(std::move(map), ropts));
     GVEX_ASSIGN_OR_RETURN(
@@ -922,7 +987,7 @@ Status PublishZoo(const Flags& flags, const std::string& path) {
   for (const serve::Endpoint& target : targets) {
     serve::Request req;
     req.type = serve::RequestType::kEvaluate;
-    req.id = static_cast<uint64_t>(flags.GetInt("id", 1));
+    req.id = flags.Number<uint64_t>("id");
     req.text = artifact;
     serve::SocketClient client;
     Status st = client.Connect(target);
@@ -973,16 +1038,12 @@ Status CmdPublish(const Flags& flags) {
     }
     GVEX_ASSIGN_OR_RETURN(WeightPrecision precision,
                           ParseWeightPrecision(*quantize));
-    if (precision == WeightPrecision::kFp32) {
-      return Status::InvalidArgument(
-          "--quantize fp32 is a no-op; omit the flag to ship fp32");
-    }
     GVEX_ASSIGN_OR_RETURN(QuantizedModel qm,
                           QuantizeModel(*bundle.model, precision));
     bundle.qmodel = std::make_shared<const QuantizedModel>(std::move(qm));
   }
   bundle.route = flags.Get("route").value_or(cluster::kDefaultRoute);
-  bundle.generation = static_cast<uint64_t>(flags.GetInt("generation", 0));
+  bundle.generation = flags.Number<uint64_t>("generation");
 
   // --out writes the bundle artifact instead of shipping it (debugging,
   // or staging a bundle for later publication).
@@ -1033,7 +1094,7 @@ Status CmdPublish(const Flags& flags) {
   GVEX_RETURN_NOT_OK(client.Connect(endpoint));
   serve::Request req;
   req.type = serve::RequestType::kInstall;
-  req.id = static_cast<uint64_t>(flags.GetInt("id", 1));
+  req.id = flags.Number<uint64_t>("id");
   req.bundle = std::move(encoded);
   GVEX_ASSIGN_OR_RETURN(serve::Response resp, client.Call(req));
   if (!resp.ok()) return resp.ToStatus();
@@ -1052,6 +1113,10 @@ Status CmdPublish(const Flags& flags) {
 // with the shared backoff schedule, which is safe exactly because of the
 // idempotency keys.
 Status CmdIngest(const Flags& flags) {
+  if (!flags.Has("graph-db") && !flags.Has("publish") && !flags.Has("status")) {
+    return Status::InvalidArgument(
+        "ingest needs --graph-db, --publish, or --status");
+  }
   GVEX_ASSIGN_OR_RETURN(serve::Endpoint endpoint, EndpointFromFlags(flags));
   serve::SocketClient client;
   GVEX_RETURN_NOT_OK(client.Connect(endpoint));
@@ -1064,33 +1129,25 @@ Status CmdIngest(const Flags& flags) {
   size_t sent = 0;
   if (auto db_path = flags.Get("graph-db")) {
     GVEX_ASSIGN_OR_RETURN(GraphDatabase db, LoadDatabase(*db_path));
-    const long from_l = flags.GetInt("from", 0);
-    if (from_l < 0 || static_cast<size_t>(from_l) > db.size()) {
-      return Status::OutOfRange("--from " + std::to_string(from_l) +
+    const size_t from = flags.Number<size_t>("from");
+    if (from > db.size()) {
+      return Status::OutOfRange("--from " + std::to_string(from) +
                                 " outside database of " +
                                 std::to_string(db.size()) + " graphs");
     }
-    const size_t from = static_cast<size_t>(from_l);
     size_t count = db.size() - from;
     if (flags.Has("count")) {
-      const long count_l = flags.GetInt("count", 0);
-      if (count_l < 0) {
-        return Status::InvalidArgument("--count must be non-negative");
-      }
-      count = std::min(count, static_cast<size_t>(count_l));
+      count = std::min(count, flags.Number<size_t>("count"));
     }
-    const uint64_t id_base = static_cast<uint64_t>(flags.GetInt("id-base", 1));
-    const long label_override = flags.GetInt("label", -1);
-    const uint32_t deadline_ms =
-        static_cast<uint32_t>(flags.GetInt("deadline-ms", 0));
+    const uint64_t id_base = flags.Number<uint64_t>("id-base");
+    const ClassLabel label_override = flags.Number<ClassLabel>("label");
+    const uint32_t deadline_ms = flags.Number<uint32_t>("deadline-ms");
     for (size_t i = from; i < from + count; ++i) {
       serve::Request req;
       req.type = serve::RequestType::kIngest;
       req.route = route;
       req.id = id_base + (i - from);
-      req.label = label_override >= 0
-                      ? static_cast<ClassLabel>(label_override)
-                      : db.label(i);
+      req.label = label_override >= 0 ? label_override : db.label(i);
       req.deadline_ms = deadline_ms;
       req.graph = db.graph(i);
       req.has_graph = true;
@@ -1100,20 +1157,15 @@ Status CmdIngest(const Flags& flags) {
       ++sent;
     }
   }
-  if (flags.Has("publish") || flags.Has("status")) {
-    for (const char* verb : {"publish", "status"}) {
-      if (!flags.Has(verb)) continue;
-      serve::Request req;
-      req.type = serve::RequestType::kIngest;
-      req.route = route;
-      req.text = verb;
-      GVEX_ASSIGN_OR_RETURN(serve::Response resp, call(req));
-      if (!resp.ok()) return resp.ToStatus();
-      std::printf("%s\n", resp.text.c_str());
-    }
-  } else if (sent == 0 && !flags.Has("graph-db")) {
-    return Status::InvalidArgument(
-        "ingest needs --graph-db, --publish, or --status");
+  for (const char* verb : {"publish", "status"}) {
+    if (!flags.Has(verb)) continue;
+    serve::Request req;
+    req.type = serve::RequestType::kIngest;
+    req.route = route;
+    req.text = verb;
+    GVEX_ASSIGN_OR_RETURN(serve::Response resp, call(req));
+    if (!resp.ok()) return resp.ToStatus();
+    std::printf("%s\n", resp.text.c_str());
   }
   if (sent > 0) std::printf("ingest done (%zu graphs sent)\n", sent);
   return Status::OK();
@@ -1131,16 +1183,15 @@ Status CmdEvaluate(const Flags& flags) {
   GVEX_ASSIGN_OR_RETURN(serve::Endpoint endpoint, EndpointFromFlags(flags));
   serve::Request req;
   req.type = serve::RequestType::kEvaluate;
-  req.id = static_cast<uint64_t>(flags.GetInt("id", 1));
+  req.id = flags.Number<uint64_t>("id");
   req.route = flags.Get("route").value_or(cluster::kDefaultRoute);
-  req.deadline_ms = static_cast<uint32_t>(flags.GetInt("deadline-ms", 0));
+  req.deadline_ms = flags.Number<uint32_t>("deadline-ms");
+  // The spec's own defaults (zoo::EvalSpec) fill what is not given.
   zoo::EvalSpec spec;
-  spec.dataset = flags.Get("dataset").value_or(spec.dataset);
-  spec.scale = flags.GetDouble("scale", spec.scale);
-  spec.seed = static_cast<uint64_t>(
-      flags.GetInt("seed", static_cast<long>(spec.seed)));
-  spec.graphs = static_cast<uint64_t>(
-      flags.GetInt("graphs", static_cast<long>(spec.graphs)));
+  if (auto dataset = flags.Get("dataset")) spec.dataset = *dataset;
+  if (flags.Has("scale")) spec.scale = flags.Number<double>("scale");
+  if (flags.Has("seed")) spec.seed = flags.Number<uint64_t>("seed");
+  if (flags.Has("graphs")) spec.graphs = flags.Number<uint64_t>("graphs");
   req.text = zoo::EvalSpecToString(spec);
   // Validate the spec locally so a usage error (exit 2) is not masked by
   // an unrelated connect failure.
@@ -1162,25 +1213,16 @@ Status CmdEvaluate(const Flags& flags) {
   }
   GVEX_ASSIGN_OR_RETURN(zoo::Scorecard card,
                         zoo::ScorecardFromJson(card_line));
-  if (flags.Has("min-fidelity")) {
-    const double floor = flags.GetDouble("min-fidelity", 0.0);
-    if (card.fidelity_plus < floor) {
-      return Status::EvaluationFailed(
-          "route " + card.route + " fidelity+ " +
-          std::to_string(card.fidelity_plus) + " below the gate " +
-          std::to_string(floor));
+  auto gate = [&](const char* flag, const char* what, double value) {
+    if (!flags.Has(flag) || !(value < flags.Number<double>(flag))) {
+      return Status::OK();
     }
-  }
-  if (flags.Has("min-accuracy")) {
-    const double floor = flags.GetDouble("min-accuracy", 0.0);
-    if (card.accuracy < floor) {
-      return Status::EvaluationFailed(
-          "route " + card.route + " motif accuracy " +
-          std::to_string(card.accuracy) + " below the gate " +
-          std::to_string(floor));
-    }
-  }
-  return Status::OK();
+    return Status::EvaluationFailed(
+        "route " + card.route + " " + what + " " + std::to_string(value) +
+        " below the gate " + std::to_string(flags.Number<double>(flag)));
+  };
+  GVEX_RETURN_NOT_OK(gate("min-fidelity", "fidelity+", card.fidelity_plus));
+  return gate("min-accuracy", "motif accuracy", card.accuracy);
 }
 
 // ---- sharded fleet ------------------------------------------------------------
@@ -1194,8 +1236,7 @@ Status CmdShardMap(const Flags& flags) {
     GVEX_ASSIGN_OR_RETURN(cluster::ShardMap map,
                           cluster::ShardMap::Load(map_path));
     if (flags.Has("owner-of")) {
-      const uint64_t key =
-          static_cast<uint64_t>(flags.GetInt("owner-of", 0));
+      const uint64_t key = flags.Number<uint64_t>("owner-of");
       const std::string route =
           flags.Get("route").value_or(cluster::kDefaultRoute);
       const size_t owner = map.OwnerOf(route, key);
@@ -1218,9 +1259,8 @@ Status CmdShardMap(const Flags& flags) {
     return Status::OK();
   }
 
-  // Create: --shards "unix:a,unix:b,tcp:9001" [--standbys "unix:s,-,-"]
-  // [--names "left,mid,right"] --out map.bin. Standbys and names are
-  // positional against --shards; "-" (or a short list) means none.
+  // Create: --standbys and --names are positional against --shards; "-"
+  // (or a short list) means none.
   GVEX_ASSIGN_OR_RETURN(std::string shards_spec, flags.Require("shards"));
   GVEX_ASSIGN_OR_RETURN(std::string out, flags.Require("out"));
   std::vector<std::string> endpoints = SplitString(shards_spec, ',');
@@ -1255,9 +1295,8 @@ Status CmdFrontend(const Flags& flags) {
   GVEX_ASSIGN_OR_RETURN(cluster::ShardMap map,
                         cluster::ShardMap::Load(map_path));
   cluster::RouterOptions ropts;
-  ropts.hedge_ms = static_cast<uint32_t>(flags.GetInt("hedge-ms", 0));
-  ropts.shard_deadline_ms =
-      static_cast<uint32_t>(flags.GetInt("shard-deadline-ms", 0));
+  ropts.hedge_ms = flags.Number<uint32_t>("hedge-ms");
+  ropts.shard_deadline_ms = flags.Number<uint32_t>("shard-deadline-ms");
   GVEX_ASSIGN_OR_RETURN(std::unique_ptr<cluster::ShardRouter> router,
                         cluster::MakeSocketRouter(std::move(map), ropts));
 
@@ -1286,19 +1325,113 @@ int ExitCodeForStatus(const Status& st) {
   return st.ok() ? 0 : static_cast<int>(st.code()) + 1;
 }
 
+// ---- the commands -------------------------------------------------------------
+
+// Flag groups that several rows share.
+constexpr std::string_view kEndpoint = "(--socket PATH | --port PORT)";
+constexpr std::string_view kExplainConfig =
+    "[--ul N=15] [--bl N=0] [--theta X=0.08] [--radius X=0.25] [--gamma X=0.5]";
+
+struct Command {
+  std::string_view name;
+  Status (*run)(const Flags& flags);
+  std::vector<std::string_view> synopsis;  // one string per usage line
+};
+
+const Command kCommands[] = {
+    {"gen", CmdGen,
+     {"--dataset NAME --out PATH [--scale X=1] [--seed SEED=0]"}},
+    {"stats", CmdStats, {"--db PATH"}},
+    {"train", CmdTrain,
+     {"--db PATH --out PATH [--hidden N=32] [--layers N=3]",
+      "[--epochs N=150] [--lr X=0.005] [--seed SEED=42]",
+      "[--aggregator gcn|mean|sum=gcn]"}},
+    {"explain", CmdExplain,
+     {"--db PATH --model PATH --labels LABELS --out PATH", kExplainConfig,
+      "[--algorithm approx|stream=approx] [--threads N=1] [--budget X=0]",
+      "[--checkpoint PATH] [--resume] [--seed SEED=0]"}},
+    {"verify", CmdVerify,
+     {"--db PATH --model PATH --views PATH", kExplainConfig}},
+    {"fidelity", CmdFidelity, {"--db PATH --model PATH --views PATH"}},
+    {"query", CmdQuery, {"--views PATH --pattern PATH [--label LABEL=-1]"}},
+    {"serve", CmdServe,
+     {"[--views PATH] [--model PATH] [--route NAME] [--zoo PATH]",
+      "[--exact-fp32 ROUTES] [--route-quota SPECS]", kEndpoint,
+      "[--workers N=4] [--queue N=256] [--batch N=8] [--deadline-ms MS=0]",
+      "[--follow ENDPOINT] [--poll-ms MS=200]",
+      "[--ingest] [--ingest-journal PATH] [--resume] [--ingest-queue N=64]",
+      "[--drift-threshold X=0.25] [--drift-window N=16]",
+      "[--ingest-cadence N=8] [--targets ENDPOINTS] [--shard-map PATH]",
+      "[--retry TRIES=2] [--retry-backoff-ms MS=50] [--no-health-gate]",
+      "[--seed SEED=0]", kExplainConfig}},
+    {"client", CmdClient,
+     {"(--socket PATH | --port PORT",
+      " | --local PATH [--model PATH] [--workers N=1]",
+      " | --shard-map PATH [--hedge-ms MS=0] [--shard-deadline-ms MS=0])",
+      "--type TYPE [--route NAME] [--id ID=1] [--deadline-ms MS=0]",
+      "[--label LABEL=-1] [--against LABEL=-1] [--text TEXT] [--top-k K=10]",
+      "[--pattern PATH | --graph PATH | --graph-db PATH]",
+      "[--graph-index INDEX] [--semantics subgraph|induced=subgraph]",
+      "[--max-embeddings K=64] [--out PATH]",
+      "[--retry TRIES=0] [--retry-backoff-ms MS=100]"}},
+    {"publish", CmdPublish,
+     {"(--views PATH | --zoo PATH) [--model PATH]",
+      "[--quantize fp16|int8] [--route NAME] [--generation ID=0] [--id ID=1]",
+      "(--socket PATH | --port PORT | --out PATH | --targets ENDPOINTS",
+      " | --shard-map PATH) [--no-health-gate]",
+      "[--retry TRIES=2] [--retry-backoff-ms MS=50] [--seed SEED=0]"}},
+    {"ingest", CmdIngest,
+     {kEndpoint,
+      "[--graph-db PATH] [--from N=0] [--count N] [--label LABEL=-1]",
+      "[--id-base ID=1] [--deadline-ms MS=0] [--route NAME]",
+      "[--retry TRIES=0] [--retry-backoff-ms MS=100] [--publish] [--status]"}},
+    {"evaluate", CmdEvaluate,
+     {kEndpoint, "[--route NAME] [--id ID=1] [--deadline-ms MS=0]",
+      "[--dataset NAME] [--scale X] [--seed SEED] [--graphs N]",
+      "[--min-fidelity X] [--min-accuracy X]",
+      "[--retry TRIES=0] [--retry-backoff-ms MS=100]"}},
+    {"shardmap", CmdShardMap,
+     {"(--shards ENDPOINTS [--standbys ENDPOINTS]",
+      " [--names NAMES] --out PATH",
+      " | --shard-map PATH (--describe | --owner-of ID [--route NAME]))"}},
+    {"frontend", CmdFrontend,
+     {"--shard-map PATH", kEndpoint,
+      "[--hedge-ms MS=0] [--shard-deadline-ms MS=0]"}},
+};
+
+// The rows of `only`, or of every command.
+void PrintUsage(const Command* only) {
+  std::fprintf(stderr, "usage:\n");
+  for (const Command& command : kCommands) {
+    if (only != nullptr && only != &command) continue;
+    std::string head = "  gvex_tool " + std::string(command.name);
+    for (std::string_view line : command.synopsis) {
+      std::fprintf(stderr, "%s %s\n", head.c_str(), std::string(line).c_str());
+      head = "   ";
+    }
+  }
+  std::fprintf(stderr, "every command also takes %s; see README.md\n",
+               std::string(kCommonFlags).c_str());
+}
+
 }  // namespace
 
 int Run(const std::vector<std::string>& argv) {
-  if (argv.empty()) {
-    Usage();
+  const Command* command = nullptr;
+  for (const Command& row : kCommands) {
+    if (!argv.empty() && row.name == argv[0]) command = &row;
+  }
+  if (command == nullptr) {
+    PrintUsage(nullptr);
     return 2;
   }
-  const std::string& command = argv[0];
   auto flags_result =
-      Flags::Parse(std::vector<std::string>(argv.begin() + 1, argv.end()));
+      Flags::Parse(command->synopsis,
+                   std::vector<std::string>(argv.begin() + 1, argv.end()));
   if (!flags_result.ok()) {
     std::fprintf(stderr, "%s\n", flags_result.status().ToString().c_str());
-    return 2;
+    PrintUsage(command);
+    return ExitCodeForStatus(flags_result.status());
   }
   const Flags& flags = *flags_result;
 
@@ -1309,7 +1442,6 @@ int Run(const std::vector<std::string>& argv) {
   bool armed_failpoints = false;
   if (auto fail_spec = flags.Get("fail")) {
     for (const std::string& entry : SplitString(*fail_spec, ';')) {
-      if (entry.empty()) continue;
       Status armed = failpoint::ArmFromString(entry);
       if (!armed.ok()) {
         std::fprintf(stderr, "%s\n", armed.ToString().c_str());
@@ -1326,39 +1458,7 @@ int Run(const std::vector<std::string>& argv) {
   if (trace_out) obs::SetTraceEnabled(true);
   Stopwatch command_watch;
 
-  Status st;
-  if (command == "gen") {
-    st = CmdGen(flags);
-  } else if (command == "stats") {
-    st = CmdStats(flags);
-  } else if (command == "train") {
-    st = CmdTrain(flags);
-  } else if (command == "explain") {
-    st = CmdExplain(flags);
-  } else if (command == "verify") {
-    st = CmdVerify(flags);
-  } else if (command == "fidelity") {
-    st = CmdFidelity(flags);
-  } else if (command == "query") {
-    st = CmdQuery(flags);
-  } else if (command == "serve") {
-    st = CmdServe(flags);
-  } else if (command == "client") {
-    st = CmdClient(flags);
-  } else if (command == "publish") {
-    st = CmdPublish(flags);
-  } else if (command == "ingest") {
-    st = CmdIngest(flags);
-  } else if (command == "evaluate") {
-    st = CmdEvaluate(flags);
-  } else if (command == "shardmap") {
-    st = CmdShardMap(flags);
-  } else if (command == "frontend") {
-    st = CmdFrontend(flags);
-  } else {
-    Usage();
-    return 2;
-  }
+  const Status st = command->run(flags);
   const double command_seconds = command_watch.ElapsedSeconds();
   if (!st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
@@ -1366,8 +1466,9 @@ int Run(const std::vector<std::string>& argv) {
   // Metrics/trace emission is best-effort: a failed write warns but never
   // changes the exit code, which reports the command outcome alone.
   if (metrics_out) {
-    obs::PerfReport report(command);
-    report.SetParam("command", command);
+    const std::string name(command->name);
+    obs::PerfReport report(name);
+    report.SetParam("command", name);
     report.AddTiming("command", command_seconds);
     Status saved = report.WriteJson(*metrics_out);
     if (!saved.ok()) {

@@ -53,7 +53,7 @@ struct PublishOptions {
   bool health_gate = true;
   /// Visit targets one after another on the calling thread instead of in
   /// parallel. The chaos harness uses this: with a single thread, armed
-  /// failpoints hit a deterministic operation (chaos.h).
+  /// failpoints hit a deterministic operation (tools/chaos/chaos.h).
   bool sequential = false;
 };
 

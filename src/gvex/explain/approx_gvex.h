@@ -78,7 +78,7 @@ class ApproxGvex {
   /// solver counters are added to stats(). Each label's view runs ExplainGraph on
   /// every graph the model assigned that label, then summarizes them with
   /// Psum. Infeasible graphs are skipped (Alg. 1 line 17); any other
-  /// per-graph error fails the build.
+  /// per-graph error, or a label listed twice, fails the build.
   ///
   /// With a `checkpoint`, each completed subgraph is journaled and graphs
   /// already in the journal are restored instead of recomputed, so a

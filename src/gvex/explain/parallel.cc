@@ -1,5 +1,7 @@
 #include "gvex/explain/parallel.h"
 
+#include <algorithm>
+
 #include "gvex/common/logging.h"
 #include "gvex/common/string_util.h"
 #include "gvex/common/thread_pool.h"
@@ -30,6 +32,14 @@ Result<ExplanationViewSet> ParallelApproxExplain(
     const std::vector<ClassLabel>& assigned,
     const std::vector<ClassLabel>& labels, const Configuration& config,
     const ParallelExplainOptions& options) {
+  // A label listed twice would get its work items twice, and the assembly
+  // below would move each of its subgraphs out twice.
+  for (auto l = labels.begin(); l != labels.end(); ++l) {
+    if (std::find(labels.begin(), l, *l) != l) {
+      return Status::InvalidArgument(
+          StrFormat("label %d is listed twice", int(*l)));
+    }
+  }
   GVEX_SPAN("parallel.explain");
   // Flatten (label, graph) work items.
   std::vector<WorkItem> items;

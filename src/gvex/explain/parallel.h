@@ -62,11 +62,11 @@ struct ParallelExplainOptions {
 };
 
 /// Run ApproxGVEX's explain phase across `options.num_threads` workers,
-/// then Psum per label. Only kInfeasible is a skippable miss; any other
-/// per-graph error fails the build with every failure listed and the
-/// first failure's code. The output is deterministic given the
-/// configuration and independent of the thread count — a resumed run
-/// therefore reproduces the uninterrupted result byte-for-byte.
+/// then Psum per label. A label listed twice is kInvalidArgument. Only
+/// kInfeasible is a skippable miss; any other per-graph error fails the
+/// build with every failure listed and the first failure's code. The
+/// output is deterministic given the configuration and independent of the
+/// thread count, so a resumed run reproduces the uninterrupted result.
 Result<ExplanationViewSet> ParallelApproxExplain(
     const GcnClassifier& model, const GraphDatabase& db,
     const std::vector<ClassLabel>& assigned,

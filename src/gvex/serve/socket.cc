@@ -44,8 +44,8 @@ void DisableSigpipe(int fd) {
 // level faults into the real transport — error specs simulate a peer
 // vanishing mid-frame (a partial prefix goes out, then the connection is
 // hard-killed so the peer observes a short frame), delay specs simulate
-// stalled reads/writes. See cluster/chaos.h for the scenario runner that
-// drives these deterministically.
+// stalled reads/writes. See tools/chaos/chaos.h for the scenario runner
+// that drives these deterministically.
 Status InjectSocketFault(int fd, const char* site, const char* data,
                          size_t size) {
   Status injected = failpoint::Check(site);

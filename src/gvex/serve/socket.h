@@ -16,7 +16,7 @@
 // A peer that dies mid-frame surfaces as a clean Status, never SIGPIPE
 // (MSG_NOSIGNAL per send, SO_NOSIGPIPE where that flag is missing).
 //
-// Chaos failpoints (cluster/chaos.h drives these): "socket.client.connect"
+// Chaos failpoints (tools/chaos/chaos.h drives them): "socket.client.connect"
 // injects connection refusal; "socket.{client,server}.{send,recv}" with an
 // error spec simulates a peer vanishing mid-frame (partial prefix, then a
 // hard connection kill) and with a delay spec a stalled read/write.

@@ -1,5 +1,5 @@
 // The chaos sweep: hundreds of seeded fault schedules over the
-// primary/standby/publisher topology (cluster/chaos.h), every one
+// primary/standby/publisher topology (tools/chaos/chaos.h), every one
 // asserting the three cluster invariants — torn installs never publish,
 // replication lags but never regresses, and equal fingerprints answer
 // byte-identically. Plus same-seed => same-event-log determinism (the
@@ -16,7 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "gvex/cluster/chaos.h"
+#include "tools/chaos/chaos.h"
 #include "gvex/serve/protocol.h"
 #include "gvex/serve/server.h"
 #include "gvex/serve/socket.h"

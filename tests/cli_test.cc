@@ -8,6 +8,8 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "gvex/cli/cli.h"
 #include "gvex/explain/view_io.h"
@@ -162,6 +164,159 @@ TEST_F(CliTest, ExplainRejectsAnInvalidCoverageBound) {
     EXPECT_EQ(cli::Run(argv), 2) << bounds.back();
     EXPECT_FALSE(fs::exists(Path("views.txt")));
   }
+}
+
+// Each command checks its command line against its row of the flag table
+// before it does any work: a rejected line exits 2, prints that row as
+// usage, and writes nothing. The db and model paths below do not exist,
+// so a command that got past the check would exit 8 instead.
+class CliUsageTest : public CliTest {
+ protected:
+  // Runs `argv`, expecting exit 2 and only `command`'s row on stderr;
+  // returns stderr.
+  std::string ExpectRejected(const std::vector<std::string>& argv,
+                             const std::string& row) {
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(cli::Run(argv), 2) << argv.back();
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("gvex_tool " + argv[0] + " " + row), std::string::npos)
+        << err;
+    EXPECT_EQ(err.find("gvex_tool stats"), std::string::npos) << err;
+    return err;
+  }
+
+  std::vector<std::string> Explain(std::vector<std::string> extra) {
+    std::vector<std::string> argv = {"explain", "--db", Path("db.txt"),
+                                     "--model", Path("model.txt"),
+                                     "--labels", "0,1", "--out",
+                                     Path("views.txt")};
+    argv.insert(argv.end(), extra.begin(), extra.end());
+    return argv;
+  }
+
+  const std::string explain_row_ = "--db PATH --model PATH --labels LABELS";
+};
+
+TEST_F(CliUsageTest, RejectsAnUnknownFlag) {
+  ExpectRejected({"gen", "--dataset", "MUT", "--scale", "0.1", "--out",
+                  Path("db.txt"), "--sed", "5"},
+                 "--dataset NAME --out PATH");
+  EXPECT_FALSE(fs::exists(Path("db.txt")));
+  ExpectRejected(Explain({"--thread", "4"}), explain_row_);
+  EXPECT_FALSE(fs::exists(Path("views.txt")));
+}
+
+TEST_F(CliUsageTest, RejectsAMalformedNumber) {
+  ExpectRejected({"train", "--db", Path("db.txt"), "--out", Path("model.txt"),
+                  "--epochs", "abc"},
+                 "--db PATH --out PATH");
+  EXPECT_FALSE(fs::exists(Path("model.txt")));
+  for (const auto& bad : std::vector<std::vector<std::string>>{
+           {"--ul", "4x"}, {"--theta", "0.1.2"}}) {
+    ExpectRejected(Explain(bad), explain_row_);
+    EXPECT_FALSE(fs::exists(Path("views.txt")));
+  }
+}
+
+TEST_F(CliUsageTest, RejectsANumberOutsideItsField) {
+  // PORT is 16-bit: the parent dialed 70000 mod 65536 = 4464.
+  ExpectRejected({"client", "--port", "70000", "--type", "ping"},
+                 "(--socket PATH | --port PORT");
+  ExpectRejected({"publish", "--views", Path("views.txt"), "--generation",
+                  "-3", "--out", Path("bundle.bin")},
+                 "(--views PATH | --zoo PATH)");
+  EXPECT_FALSE(fs::exists(Path("bundle.bin")));
+  ExpectRejected(Explain({"--threads", "-1"}), explain_row_);
+  EXPECT_FALSE(fs::exists(Path("views.txt")));
+}
+
+TEST_F(CliUsageTest, RejectsAWordItsKindDoesNotList) {
+  // --type takes exactly the wire names of kRequestTypes, which the error
+  // lists; a KIND of words joined by '|' takes exactly those words.
+  const std::string err = ExpectRejected(
+      {"client", "--socket", Path("none.sock"), "--type", "pingg"},
+      "(--socket PATH | --port PORT");
+  EXPECT_NE(err.find("ping|support|contains"), std::string::npos) << err;
+  ExpectRejected(Explain({"--algorithm", "greedy"}), explain_row_);
+  EXPECT_FALSE(fs::exists(Path("views.txt")));
+}
+
+TEST_F(CliUsageTest, RejectsAMissingRequiredFlag) {
+  ExpectRejected({"train", "--db", Path("db.txt")}, "--db PATH --out PATH");
+  EXPECT_TRUE(fs::is_empty(dir_));
+}
+
+TEST_F(CliUsageTest, NoCommandOrAnUnknownOnePrintsEveryRow) {
+  for (const std::vector<std::string>& argv :
+       std::vector<std::vector<std::string>>{{}, {"frobnicate"}}) {
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(cli::Run(argv), 2);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    for (const char* command :
+         {"gen", "stats", "train", "explain", "verify", "fidelity", "query",
+          "serve", "client", "publish", "ingest", "evaluate", "shardmap",
+          "frontend"}) {
+      EXPECT_NE(err.find(std::string("gvex_tool ") + command + " "),
+                std::string::npos)
+          << command;
+    }
+  }
+}
+
+TEST_F(CliTest, ARepeatedFlagKeepsItsLastValue) {
+  ASSERT_EQ(cli::Run({"gen", "--dataset", "MUT", "--scale", "0.1", "--out",
+                      Path("first.txt"), "--out", Path("last.txt")}),
+            0);
+  EXPECT_FALSE(fs::exists(Path("first.txt")));
+  EXPECT_TRUE(fs::exists(Path("last.txt")));
+}
+
+TEST_F(CliTest, ExplainRejectsARepeatedOrMalformedLabel) {
+  ASSERT_EQ(cli::Run({"gen", "--dataset", "MUT", "--scale", "0.1", "--out",
+                      Path("db.txt")}),
+            0);
+  ASSERT_EQ(cli::Run({"train", "--db", Path("db.txt"), "--out",
+                      Path("model.txt"), "--epochs", "20"}),
+            0);
+  // The parent wrote a view file for both: 0,0 listed label 0's subgraphs
+  // twice, and 1,x explained labels 1 and 0.
+  for (const char* labels : {"0,0", "1,x"}) {
+    for (const char* algorithm : {"approx", "stream"}) {
+      EXPECT_EQ(cli::Run({"explain", "--db", Path("db.txt"), "--model",
+                          Path("model.txt"), "--labels", labels,
+                          "--algorithm", algorithm, "--out",
+                          Path("views.txt")}),
+                2)
+          << labels << " " << algorithm;
+      EXPECT_FALSE(fs::exists(Path("views.txt")));
+    }
+  }
+}
+
+TEST_F(CliTest, DefaultsEqualTheirWrittenOutValues) {
+  ASSERT_EQ(cli::Run({"gen", "--dataset", "MUT", "--scale", "0.1", "--out",
+                      Path("db.txt")}),
+            0);
+  ASSERT_EQ(cli::Run({"train", "--db", Path("db.txt"), "--out",
+                      Path("model.txt")}),
+            0);
+  ASSERT_EQ(cli::Run({"train", "--db", Path("db.txt"), "--out",
+                      Path("model_spelled.txt"), "--hidden", "32", "--layers",
+                      "3", "--epochs", "150", "--lr", "0.005", "--seed", "42",
+                      "--aggregator", "gcn"}),
+            0);
+  EXPECT_EQ(Bytes("model.txt"), Bytes("model_spelled.txt"));
+  ASSERT_EQ(cli::Run({"explain", "--db", Path("db.txt"), "--model",
+                      Path("model.txt"), "--labels", "0,1", "--out",
+                      Path("views.txt")}),
+            0);
+  ASSERT_EQ(cli::Run({"explain", "--db", Path("db.txt"), "--model",
+                      Path("model.txt"), "--labels", "0,1", "--out",
+                      Path("views_spelled.txt"), "--algorithm", "approx",
+                      "--threads", "1", "--ul", "15", "--bl", "0", "--theta",
+                      "0.08", "--radius", "0.25", "--gamma", "0.5"}),
+            0);
+  EXPECT_EQ(Bytes("views.txt"), Bytes("views_spelled.txt"));
 }
 
 TEST_F(CliTest, FailFlagInjectsFaults) {

@@ -400,6 +400,29 @@ TEST(ParallelRobustnessTest, AggregatesFailuresIntoStatus) {
   EXPECT_FALSE(caller.cancelled());
 }
 
+TEST(ParallelRobustnessTest, RejectsARepeatedLabelBeforeAnyWork) {
+  const auto& ctx = MutagenicityContext();
+  // Every graph would fail if it were explained, so an error other than
+  // the repeated label would show that work ran.
+  failpoint::ScopedFailpoint fp("approx.explain_graph", "error(internal)");
+  ParallelExplainOptions options;
+  options.num_threads = 2;
+  ParallelExplainReport report;
+  options.report = &report;
+  auto set = ParallelApproxExplain(ctx.model, ctx.db, ctx.assigned, {1, 0, 1},
+                                   TestConfig(), options);
+  ASSERT_FALSE(set.ok());
+  EXPECT_TRUE(set.status().IsInvalidArgument()) << set.status().ToString();
+  EXPECT_NE(set.status().message().find("label 1 is listed twice"),
+            std::string::npos);
+  EXPECT_TRUE(report.per_view.empty());
+  // ApproxGvex::Explain runs ParallelApproxExplain, so it refuses too.
+  ApproxGvex solver(&ctx.model, TestConfig());
+  auto serial = solver.Explain(ctx.db, ctx.assigned, {0, 0});
+  ASSERT_FALSE(serial.ok());
+  EXPECT_TRUE(serial.status().IsInvalidArgument());
+}
+
 TEST(ParallelRobustnessTest, ReportCountsEveryGraphOutcome) {
   const auto& ctx = MutagenicityContext();
   ParallelExplainOptions options;

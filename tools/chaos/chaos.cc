@@ -1,4 +1,4 @@
-#include "gvex/cluster/chaos.h"
+#include "tools/chaos/chaos.h"
 
 #include <memory>
 #include <sstream>

@@ -1,5 +1,5 @@
 // chaos_harness: seeded chaos scenarios over a primary/standby/publisher
-// topology (src/gvex/cluster/chaos.h).
+// topology (tools/chaos/chaos.h).
 //
 //   chaos_harness [--seeds N] [--start-seed S] [--steps K]
 //                 [--fault-probability P] [--replay SEED]
@@ -14,7 +14,7 @@
 #include <cstring>
 #include <string>
 
-#include "gvex/cluster/chaos.h"
+#include "tools/chaos/chaos.h"
 
 namespace {
 

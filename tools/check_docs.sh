@@ -2,16 +2,17 @@
 # Docs lint (registered as ctest label `docs-lint`): keeps the shipped
 # documentation from drifting away from the code it documents.
 #
-#   1. Every CLI flag named in the cli.h synopsis appears in at least
-#      one user-facing doc (README.md, docs/SERVING.md,
+#   1. Every CLI flag in gvex_tool's flag table (the kCommands rows of
+#      src/gvex/cli/cli.cc and the flag groups they share) appears in at
+#      least one user-facing doc (README.md, docs/SERVING.md,
 #      docs/ARCHITECTURE.md, docs/WIRE_PROTOCOL.md,
 #      docs/OBSERVABILITY.md).
 #   2. Every StatusCode in status.h maps to an exit-code row in both
 #      README.md and docs/WIRE_PROTOCOL.md (the normative table).
 #   3. The request-type table in src/gvex/serve/protocol.h
 #      (kRequestTypes) matches the "Request kinds" table in
-#      docs/WIRE_PROTOCOL.md row for row, and the `client --type` list in
-#      cli.h names exactly its wire names.
+#      docs/WIRE_PROTOCOL.md row for row. (`client --type` takes exactly
+#      these names; the CLI prints them from kRequestTypes.)
 #   4. Every intra-repo relative markdown link resolves to a file.
 #   5. The text-format codec files stay off iostreams: none includes
 #      <sstream> or names SetMaxPrecision, std::istringstream or
@@ -32,14 +33,19 @@ for doc in "${CLI_DOCS[@]}"; do
   [[ -f "$doc" ]] || complain "missing expected doc: $doc"
 done
 
-echo "== docs-lint: CLI flags in cli.h vs user-facing docs"
-# The synopsis block in cli.h is the flag inventory: every `--flag`
-# token it names must be documented somewhere a user would look.
-FLAGS="$(grep -oE -- '--[a-z][a-z0-9-]*' src/gvex/cli/cli.h | sort -u)"
-[[ -n "$FLAGS" ]] || complain "no flags parsed from src/gvex/cli/cli.h"
+echo "== docs-lint: CLI flags in the cli.cc flag table vs user-facing docs"
+# The flag table is the inventory the parser reads: the string literals of
+# the kCommands rows and of the `constexpr std::string_view k...` flag
+# groups. Every `--flag` they name must be documented where a user looks.
+FLAGS="$(awk '/^constexpr std::string_view k[A-Za-z]+ =/ ||
+              /^const Command kCommands\[\] = \{/ { on = 1 }
+              on { print }
+              on && /;$/ { on = 0 }' src/gvex/cli/cli.cc |
+         grep -oE '"[^"]*"' | grep -oE -- '--[a-z][a-z0-9-]*' | sort -u)"
+[[ -n "$FLAGS" ]] || complain "no flags parsed from the src/gvex/cli/cli.cc table"
 for flag in $FLAGS; do
   if ! grep -qF -- "$flag" "${CLI_DOCS[@]}" 2>/dev/null; then
-    complain "flag $flag (cli.h) is not documented in any of:" \
+    complain "flag $flag (cli.cc flag table) is not documented in any of:" \
              "${CLI_DOCS[*]}"
   fi
 done
@@ -60,7 +66,7 @@ while IFS= read -r line; do
   done
 done < <(grep -E '^ *k[A-Za-z]+ = [0-9]+' src/gvex/common/status.h)
 
-echo "== docs-lint: request types in protocol.h vs WIRE_PROTOCOL.md and cli.h"
+echo "== docs-lint: request types in protocol.h vs WIRE_PROTOCOL.md"
 # kRequestTypes holds one row per type in enum order; print "<type> <name>".
 TYPES="$(grep -oE '^ *\{RequestType::k[A-Za-z]+, "[a-z]+"' \
            src/gvex/serve/protocol.h |
@@ -74,22 +80,6 @@ if [[ "$WIRE_TYPES" != "$TYPES" ]]; then
   complain "docs/WIRE_PROTOCOL.md \"Request kinds\" rows differ from" \
            "kRequestTypes:" \
            "$(diff <(echo "$TYPES") <(echo "$WIRE_TYPES") | grep '^[<>]' |
-              tr '\n' ' ')"
-fi
-# The `--type a|b|...` list in the cli.h synopsis, which wraps over
-# comment lines holding nothing but names and bars.
-CLI_TYPES="$(awk '!seen && /--type [a-z]/ { sub(/.*--type /, ""); list = $0
-                                            seen = more = 1; next }
-                  more && /^\/\/ +[a-z|]+$/ { sub(/^\/\/ +/, ""); list = list $0
-                                            next }
-                  { more = 0 }
-                  END { n = split(list, w, "|")
-                        for (i = 1; i <= n; i++) if (w[i] != "") print w[i] }' \
-               src/gvex/cli/cli.h | sort)"
-TYPE_NAMES="$(echo "$TYPES" | awk '{ print $2 }' | sort)"
-if [[ "$CLI_TYPES" != "$TYPE_NAMES" ]]; then
-  complain "cli.h client --type list differs from kRequestTypes:" \
-           "$(diff <(echo "$TYPE_NAMES") <(echo "$CLI_TYPES") | grep '^[<>]' |
               tr '\n' ' ')"
 fi
 

@@ -1,5 +1,5 @@
-// gvex_tool: the GVEX pipeline as a command-line utility. See
-// src/gvex/cli/cli.h for the synopsis.
+// gvex_tool: the GVEX pipeline as a command-line utility. Run it with no
+// arguments for every command's synopsis (src/gvex/cli/cli.cc).
 #include <string>
 #include <vector>
 
