@@ -32,6 +32,11 @@ class DynamicBitset {
     for (size_t i = 0; i < words_.size(); ++i) words_[i] |= other.words_[i];
   }
 
+  /// this &= ~other.
+  void Subtract(const DynamicBitset& other) {
+    for (size_t i = 0; i < words_.size(); ++i) words_[i] &= ~other.words_[i];
+  }
+
   /// Number of set bits.
   size_t Count() const {
     size_t c = 0;
@@ -63,6 +68,20 @@ class DynamicBitset {
       if (w != 0) return true;
     }
     return false;
+  }
+
+  /// Smallest set index >= `from`, or size() when there is none. Walks the
+  /// set bits without materializing them:
+  ///   for (size_t i = b.FindNext(0); i < b.size(); i = b.FindNext(i + 1))
+  size_t FindNext(size_t from) const {
+    if (from >= n_) return n_;
+    size_t wi = from >> 6;
+    uint64_t w = words_[wi] & (~0ULL << (from & 63));
+    while (w == 0) {
+      if (++wi == words_.size()) return n_;
+      w = words_[wi];
+    }
+    return (wi << 6) + static_cast<size_t>(__builtin_ctzll(w));
   }
 
   /// Indices of set bits, ascending.

@@ -1,7 +1,6 @@
 #include "gvex/explain/stream_gvex.h"
 
 #include <algorithm>
-#include <cassert>
 
 #include "gvex/common/bitset.h"
 #include "gvex/common/failpoint.h"
@@ -28,21 +27,6 @@ void ForEachNeighborBothDirections(const Graph& g, NodeId u, Fn&& fn) {
       if (w != u && g.HasEdge(w, u)) fn(w);
     }
   }
-}
-
-// f(V_S \ v') - style removal loss requires a rebuild: unions are not
-// invertible. |V_S| <= u_l keeps this cheap.
-double RemovalLoss(const InfluenceAnalyzer& analyzer,
-                   const std::vector<NodeId>& vs, NodeId victim, float gamma,
-                   double current_score) {
-  std::vector<NodeId> without;
-  without.reserve(vs.size() - 1);
-  for (NodeId v : vs) {
-    if (v != victim) without.push_back(v);
-  }
-  InfluenceAccumulator acc(&analyzer);
-  acc.Rebuild(without);
-  return current_score - acc.Score(gamma);
 }
 
 }  // namespace
@@ -132,32 +116,29 @@ Result<ExplanationSubgraph> StreamGvex::ExplainGraphStream(
     // Case (c): Procedure 4 swap. Find the cached node whose removal
     // loses the least explainability.
     const double current = acc.Score(gamma);
-    NodeId victim = kInvalidNode;
+    size_t victim_at = 0;
     double min_loss = 1e18;
-    for (NodeId cached : vs) {
-      double loss = RemovalLoss(analyzer, vs, cached, gamma, current);
+    for (size_t i = 0; i < vs.size(); ++i) {
+      double loss = current - acc.ScoreWithout(vs[i], gamma);
       if (loss < min_loss) {
         min_loss = loss;
-        victim = cached;
+        victim_at = i;
       }
     }
-    // Gains measured against V_u = V_S \ {v-} (Procedure 4 line 3).
-    std::vector<NodeId> without;
-    for (NodeId cached : vs) {
-      if (cached != victim) without.push_back(cached);
-    }
-    InfluenceAccumulator base(&analyzer);
-    base.Rebuild(without);
-    double w_new = base.ScoreWith(v, gamma) - base.Score(gamma);
-    double w_old = base.ScoreWith(victim, gamma) - base.Score(gamma);
-    if (w_new >= 2.0 * w_old) {
-      without.push_back(v);
-      vs = std::move(without);
-      acc.Rebuild(vs);
+    const NodeId victim = vs[victim_at];
+    // Gains measured against V_u = V_S \ {v-} (Procedure 4 line 3); the
+    // victim's own gain there is its removal loss.
+    acc.Remove(victim);
+    double w_new = acc.ScoreWith(v, gamma) - acc.Score(gamma);
+    if (w_new >= 2.0 * min_loss) {
+      vs.erase(vs.begin() + static_cast<ptrdiff_t>(victim_at));
+      vs.push_back(v);
+      acc.Add(v);
       vu.push_back(victim);
       ++stats_.swaps;
       GVEX_COUNTER_INC("stream.swaps");
     } else {
+      acc.Add(victim);
       vu.push_back(v);
       ++stats_.skips;
       GVEX_COUNTER_INC("stream.skips");
@@ -235,15 +216,21 @@ Result<ExplanationSubgraph> StreamGvex::ExplainGraphStream(
     std::sort(ranked.rbegin(), ranked.rend());
     size_t probe = std::min<size_t>(ranked.size(),
                                     std::max<size_t>(1, config_.everify_top_k));
+    // The probes are independent: verify them across the shared pool, then
+    // pick serially in rank order.
+    std::vector<EVerifyResult> evs(probe);
+    ThreadPool::Shared().ParallelFor(probe, [&](size_t p) {
+      std::vector<NodeId> trial = vs;
+      trial.push_back(vu[ranked[p].second]);
+      std::sort(trial.begin(), trial.end());
+      evs[p] = verifier_.Verify(g, trial, l);
+    });
+    stats_.everify_calls += probe;
     size_t best_i = static_cast<size_t>(-1);
     double best_rank = -1e18;
     for (size_t p = 0; p < probe; ++p) {
       size_t i = ranked[p].second;
-      std::vector<NodeId> trial = vs;
-      trial.push_back(vu[i]);
-      std::sort(trial.begin(), trial.end());
-      ++stats_.everify_calls;
-      EVerifyResult ev = verifier_.Verify(g, trial, l);
+      const EVerifyResult& ev = evs[p];
       double rank = ranked[p].first +
                     static_cast<double>(config_.counterfactual_bonus) *
                         (static_cast<double>(ev.prob_subgraph) -
@@ -276,8 +263,8 @@ Result<ExplanationSubgraph> StreamGvex::ExplainGraphStream(
       const double current = acc.Score(gamma);
       std::vector<std::pair<double, NodeId>> victims;
       for (NodeId cached : vs) {
-        victims.emplace_back(
-            RemovalLoss(analyzer, vs, cached, gamma, current), cached);
+        victims.emplace_back(current - acc.ScoreWithout(cached, gamma),
+                             cached);
       }
       std::sort(victims.begin(), victims.end());
       // Candidates: most salient pool nodes first.
@@ -292,25 +279,37 @@ Result<ExplanationSubgraph> StreamGvex::ExplainGraphStream(
       const size_t victim_probe = std::min<size_t>(victims.size(), 3);
       const size_t cand_probe = std::min<size_t>(cands.size(), 8);
       std::vector<NodeId> best_trial;
+      NodeId best_victim = kInvalidNode;
+      NodeId best_cand = kInvalidNode;
       EVerifyResult best_ev;
       double best_progress = progress;
       for (size_t vi = 0; vi < victim_probe; ++vi) {
-        for (size_t ci = 0; ci < cand_probe; ++ci) {
-          std::vector<NodeId> trial;
+        // One victim's row of swaps is verified across the shared pool,
+        // then scanned serially in candidate order.
+        const NodeId victim = victims[vi].second;
+        std::vector<std::vector<NodeId>> trials(cand_probe);
+        std::vector<EVerifyResult> evs(cand_probe);
+        ThreadPool::Shared().ParallelFor(cand_probe, [&](size_t ci) {
+          std::vector<NodeId>& trial = trials[ci];
           trial.reserve(vs.size());
           for (NodeId cached : vs) {
-            if (cached != victims[vi].second) trial.push_back(cached);
+            if (cached != victim) trial.push_back(cached);
           }
           trial.push_back(cands[ci]);
           std::sort(trial.begin(), trial.end());
-          ++stats_.everify_calls;
-          EVerifyResult ev = verifier_.Verify(g, trial, l);
+          evs[ci] = verifier_.Verify(g, trial, l);
+        });
+        stats_.everify_calls += cand_probe;
+        for (size_t ci = 0; ci < cand_probe; ++ci) {
+          const EVerifyResult& ev = evs[ci];
           double p = static_cast<double>(ev.prob_subgraph) -
                      static_cast<double>(ev.prob_remainder);
           if (ev.IsExplanation()) p += 10.0;
           if (p > best_progress + 1e-9) {
             best_progress = p;
-            best_trial = std::move(trial);
+            best_trial = std::move(trials[ci]);
+            best_victim = victim;
+            best_cand = cands[ci];
             best_ev = ev;
           }
         }
@@ -318,7 +317,8 @@ Result<ExplanationSubgraph> StreamGvex::ExplainGraphStream(
       }
       if (best_trial.empty()) break;  // no improving swap: stall
       vs = std::move(best_trial);
-      acc.Rebuild(vs);
+      acc.Remove(best_victim);
+      acc.Add(best_cand);
       check = best_ev;
       progress = best_progress;
       ++stats_.swaps;
@@ -327,6 +327,8 @@ Result<ExplanationSubgraph> StreamGvex::ExplainGraphStream(
   // Saturated-model fallback: when the classifier's probabilities are
   // near 0/1, partial explanations give the hill-climb no gradient. Try
   // the top-saliency node sets directly (constant extra EVerify work).
+  // `acc` is not read past this point: the final score comes from the
+  // analyzer, so a region taken here does not update it.
   if (!check.IsExplanation()) {
     // Anytime semantics: only nodes the stream has delivered may appear.
     std::vector<bool> seen(g.num_nodes(), false);
@@ -372,7 +374,6 @@ Result<ExplanationSubgraph> StreamGvex::ExplainGraphStream(
           EVerifyResult ev = verifier_.Verify(g, trial, l);
           if (ev.IsExplanation()) {
             vs = std::move(trial);
-            acc.Rebuild(vs);
             check = ev;
             break;
           }
@@ -719,6 +720,7 @@ Result<ExplanationViewSet> StreamGvex::Explain(
     const GraphDatabase& db, const std::vector<ClassLabel>& assigned,
     const std::vector<ClassLabel>& labels, const CancellationToken* cancel,
     uint64_t order_seed) {
+  GVEX_RETURN_NOT_OK(CheckDistinctLabels(labels));
   ExplanationViewSet set;
   for (ClassLabel l : labels) {
     GVEX_ASSIGN_OR_RETURN(

@@ -88,6 +88,8 @@ class StreamGvex {
       ClassLabel l, const CancellationToken* cancel = nullptr,
       uint64_t order_seed = 0);
 
+  /// One view per label, in `labels` order. A label listed twice is
+  /// kInvalidArgument before any work, as in ParallelApproxExplain.
   Result<ExplanationViewSet> Explain(
       const GraphDatabase& db, const std::vector<ClassLabel>& assigned,
       const std::vector<ClassLabel>& labels,

@@ -1,5 +1,7 @@
 #include "gvex/explain/view.h"
 
+#include <algorithm>
+
 #include "gvex/common/string_util.h"
 
 namespace gvex {
@@ -50,6 +52,16 @@ const ExplanationView* ExplanationViewSet::ForLabel(ClassLabel l) const {
     if (v.label == l) return &v;
   }
   return nullptr;
+}
+
+Status CheckDistinctLabels(const std::vector<ClassLabel>& labels) {
+  for (auto l = labels.begin(); l != labels.end(); ++l) {
+    if (std::find(labels.begin(), l, *l) != l) {
+      return Status::InvalidArgument(
+          StrFormat("label %d is listed twice", int(*l)));
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace gvex

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "gvex/common/status.h"
 #include "gvex/graph/graph.h"
 #include "gvex/graph/graph_db.h"
 
@@ -51,5 +52,11 @@ struct ExplanationViewSet {
 
   const ExplanationView* ForLabel(ClassLabel l) const;
 };
+
+/// kInvalidArgument naming the first label that occurs twice in `labels`
+/// ("label 1 is listed twice"), else OK. A view set holds one view per
+/// label: every explain entry point checks the labels it is asked for
+/// before any work, and SaveViewSet the labels of the views it would write.
+Status CheckDistinctLabels(const std::vector<ClassLabel>& labels);
 
 }  // namespace gvex

@@ -115,6 +115,9 @@ Result<ExplanationViewSet> ReadViewSet(TextReader* in) {
 }
 
 Status SaveViewSet(const ExplanationViewSet& set, const std::string& path) {
+  std::vector<ClassLabel> labels;
+  for (const ExplanationView& view : set.views) labels.push_back(view.label);
+  GVEX_RETURN_NOT_OK(CheckDistinctLabels(labels));
   return RetryIo([&] {
     return AtomicSave(path,
                       [&](TextWriter* out) { return WriteViewSet(set, out); });

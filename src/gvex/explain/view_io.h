@@ -4,7 +4,9 @@
 // paper).
 //
 // The format is v2 (per-view CRC32 sections + end marker; DESIGN.md §6).
-// SaveViewSet is atomic (temp + rename) and retries transient IO errors.
+// SaveViewSet is atomic (temp + rename) and retries transient IO errors. It
+// refuses a set with two views of one label (kInvalidArgument, nothing
+// written): ViewRegistry would refuse that file.
 #pragma once
 
 #include <string>

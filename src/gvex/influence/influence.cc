@@ -110,6 +110,23 @@ Matrix RandomWalkInfluence(const CsrMatrix& s, size_t k) {
   return p;
 }
 
+// Of `orphaned` (the union of the balls of the influenced nodes that lost
+// their last cover), keeps the elements that no ball of a surviving
+// influenced node holds: exactly what the diversity union loses.
+// `survives(u)` says whether u, set in `influenced`, stays influenced.
+template <typename Survives>
+void SubtractSurvivingBalls(const InfluenceAnalyzer& analyzer,
+                            const DynamicBitset& influenced,
+                            Survives&& survives, DynamicBitset* orphaned) {
+  for (size_t u = influenced.FindNext(0);
+       u < influenced.size() && orphaned->Any();
+       u = influenced.FindNext(u + 1)) {
+    if (survives(u)) {
+      orphaned->Subtract(analyzer.Ball(static_cast<NodeId>(u)));
+    }
+  }
+}
+
 }  // namespace
 
 Result<InfluenceAnalyzer> InfluenceAnalyzer::Build(
@@ -203,6 +220,7 @@ size_t InfluenceAnalyzer::DiversityScore(const std::vector<NodeId>& vs) const {
 
 InfluenceAccumulator::InfluenceAccumulator(const InfluenceAnalyzer* analyzer)
     : analyzer_(analyzer),
+      cover_(analyzer->num_nodes(), 0),
       influence_union_(analyzer->num_nodes()),
       diversity_union_(analyzer->num_nodes()) {}
 
@@ -227,21 +245,59 @@ double InfluenceAccumulator::ScoreWith(NodeId v, float gamma) const {
          static_cast<double>(gamma) * static_cast<double>(tentative.Count());
 }
 
+double InfluenceAccumulator::ScoreWithout(NodeId v, float gamma) const {
+  const DynamicBitset& inf_v = analyzer_->InfluencedBy(v);
+  // Nodes only v influences leave I; only their balls can leave D.
+  size_t lost = 0;
+  DynamicBitset orphaned;
+  for (size_t u = inf_v.FindNext(0); u < inf_v.size();
+       u = inf_v.FindNext(u + 1)) {
+    if (cover_[u] != 1) continue;
+    if (lost++ == 0) orphaned = DynamicBitset(inf_v.size());
+    orphaned.UnionWith(analyzer_->Ball(static_cast<NodeId>(u)));
+  }
+  if (lost == 0) return Score(gamma);
+  SubtractSurvivingBalls(
+      *analyzer_, influence_union_,
+      [&](size_t u) { return cover_[u] != 1 || !inf_v.Test(u); }, &orphaned);
+  return static_cast<double>(influence_union_.Count() - lost) +
+         static_cast<double>(gamma) *
+             static_cast<double>(diversity_union_.Count() - orphaned.Count());
+}
+
 void InfluenceAccumulator::Add(NodeId v) {
   const DynamicBitset& inf_v = analyzer_->InfluencedBy(v);
-  for (size_t idx : inf_v.ToVector()) {
-    if (!influence_union_.Test(idx)) {
-      diversity_union_.UnionWith(analyzer_->Ball(static_cast<NodeId>(idx)));
+  for (size_t u = inf_v.FindNext(0); u < inf_v.size();
+       u = inf_v.FindNext(u + 1)) {
+    if (cover_[u]++ == 0) {
+      diversity_union_.UnionWith(analyzer_->Ball(static_cast<NodeId>(u)));
     }
   }
   influence_union_.UnionWith(inf_v);
-  selected_.push_back(v);
+}
+
+void InfluenceAccumulator::Remove(NodeId v) {
+  const DynamicBitset& inf_v = analyzer_->InfluencedBy(v);
+  size_t lost = 0;
+  DynamicBitset orphaned;
+  for (size_t u = inf_v.FindNext(0); u < inf_v.size();
+       u = inf_v.FindNext(u + 1)) {
+    assert(cover_[u] > 0);
+    if (--cover_[u] != 0) continue;
+    influence_union_.Reset(u);
+    if (lost++ == 0) orphaned = DynamicBitset(inf_v.size());
+    orphaned.UnionWith(analyzer_->Ball(static_cast<NodeId>(u)));
+  }
+  if (lost == 0) return;
+  SubtractSurvivingBalls(
+      *analyzer_, influence_union_, [](size_t) { return true; }, &orphaned);
+  diversity_union_.Subtract(orphaned);
 }
 
 void InfluenceAccumulator::Rebuild(const std::vector<NodeId>& vs) {
+  std::fill(cover_.begin(), cover_.end(), 0);
   influence_union_.Clear();
   diversity_union_.Clear();
-  selected_.clear();
   for (NodeId v : vs) Add(v);
 }
 

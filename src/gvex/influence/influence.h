@@ -88,11 +88,17 @@ class InfluenceAnalyzer {
   std::vector<DynamicBitset> ball_;        // per node v
 };
 
-/// \brief Incremental accumulator over a growing selected set V_S.
+/// \brief Invertible accumulator over a selected set V_S.
 ///
-/// Maintains the union of influence sets and the derived diversity union so
-/// greedy algorithms evaluate marginal gains in O(n/64) per candidate and
-/// commit in O(n/64). Mirrors IncEVerify's bookkeeping in StreamGVEX.
+/// Maintains the influence union I(V_S) and the diversity union D(V_S) so
+/// greedy algorithms evaluate marginal gains in O(n/64) per candidate, and
+/// keeps one count per node — how many selected nodes influence it — so
+/// removals are exact too (IncEVerify's bookkeeping in StreamGVEX). A
+/// removal whose influenced nodes all keep another cover changes nothing;
+/// otherwise only the balls of the nodes that lost their last cover can
+/// shrink D, and the balls of the surviving influenced nodes are
+/// subtracted from them word by word. Cover is counted per influenced node
+/// only, never per ball element: one ball can hold most of the graph.
 class InfluenceAccumulator {
  public:
   explicit InfluenceAccumulator(const InfluenceAnalyzer* analyzer);
@@ -106,18 +112,22 @@ class InfluenceAccumulator {
   /// Score if `v` were added, without mutating.
   double ScoreWith(NodeId v, float gamma) const;
 
+  /// Score if the selected node `v` were removed, without mutating.
+  double ScoreWithout(NodeId v, float gamma) const;
+
   /// Add v to the set.
   void Add(NodeId v);
 
-  /// Recompute from scratch for an arbitrary set (used after removals;
-  /// unions are not invertible).
-  void Rebuild(const std::vector<NodeId>& vs);
+  /// Remove one earlier Add(v).
+  void Remove(NodeId v);
 
-  const std::vector<NodeId>& selected() const { return selected_; }
+  /// Reset to the set `vs`, from scratch: the oracle that tests compare
+  /// Add, Remove and ScoreWithout against.
+  void Rebuild(const std::vector<NodeId>& vs);
 
  private:
   const InfluenceAnalyzer* analyzer_;
-  std::vector<NodeId> selected_;
+  std::vector<uint32_t> cover_;  // selected nodes influencing each node
   DynamicBitset influence_union_;
   DynamicBitset diversity_union_;
 };

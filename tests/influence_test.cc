@@ -1,12 +1,16 @@
 // Unit + property tests for the influence machinery: backend agreement,
-// Eq. 4 normalization, bitset set algebra, accumulator consistency, and the
-// monotone-submodularity property of Lemma 3.3.
+// Eq. 4 normalization, bitset set algebra, accumulator consistency (adds and
+// removes against a from-scratch rebuild), and the monotone-submodularity
+// property of Lemma 3.3.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "gvex/common/bitset.h"
 #include "gvex/common/rng.h"
+#include "gvex/datasets/datasets.h"
 #include "gvex/influence/influence.h"
 
 namespace gvex {
@@ -68,6 +72,26 @@ TEST(BitsetTest, UnionAlgebra) {
   a.Clear();
   EXPECT_FALSE(b == a);
   EXPECT_EQ(a.Count(), 0u);
+}
+
+TEST(BitsetTest, FindNextAndSubtract) {
+  DynamicBitset a(130), b(130);
+  EXPECT_EQ(a.FindNext(0), 130u);
+  for (size_t i : {3, 63, 64, 129}) a.Set(i);
+  EXPECT_EQ(a.FindNext(0), 3u);
+  EXPECT_EQ(a.FindNext(4), 63u);
+  EXPECT_EQ(a.FindNext(64), 64u);
+  EXPECT_EQ(a.FindNext(65), 129u);
+  EXPECT_EQ(a.FindNext(130), 130u);
+  std::vector<size_t> walked;
+  for (size_t i = a.FindNext(0); i < a.size(); i = a.FindNext(i + 1)) {
+    walked.push_back(i);
+  }
+  EXPECT_EQ(walked, a.ToVector());
+  b.Set(63);
+  b.Set(100);
+  a.Subtract(b);
+  EXPECT_EQ(a.ToVector(), (std::vector<size_t>{3, 64, 129}));
 }
 
 TEST(InfluenceTest, RequiresFeatures) {
@@ -209,6 +233,133 @@ TEST(InfluenceTest, RebuildMatchesIncrementalAdds) {
   rebuilt.Rebuild({3, 0, 5});
   EXPECT_EQ(incremental.influence_count(), rebuilt.influence_count());
   EXPECT_EQ(incremental.diversity_count(), rebuilt.diversity_count());
+}
+
+// ---- the invertible accumulator against a from-scratch oracle -------------
+
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+// The test oracle for ScoreWithout: the removal loss as the stream solver
+// once computed it, by rebuilding V_S \ {v} from scratch.
+InfluenceAccumulator RebuiltWithout(const InfluenceAnalyzer& a,
+                                    const std::vector<NodeId>& vs, NodeId v) {
+  std::vector<NodeId> without;
+  for (NodeId u : vs) {
+    if (u != v) without.push_back(u);
+  }
+  InfluenceAccumulator acc(&a);
+  acc.Rebuild(without);
+  return acc;
+}
+
+// ScoreWithout probes by path: nothing left the influence union, or
+// something did.
+struct RemovalPaths {
+  size_t kept = 0;
+  size_t lost = 0;
+};
+
+// Random adds and removes of distinct nodes. After every step the
+// accumulator must equal a rebuild of the same set, and each selected
+// node's ScoreWithout the rebuild without it, bit for bit.
+RemovalPaths CheckAgainstRebuild(const InfluenceAnalyzer& a, uint64_t seed,
+                                 size_t steps, size_t max_selected) {
+  const float gamma = 0.5f;
+  Rng rng(seed);
+  InfluenceAccumulator acc(&a);
+  std::vector<NodeId> vs;
+  RemovalPaths paths;
+  for (size_t step = 0; step < steps; ++step) {
+    if (vs.empty() || (vs.size() < max_selected && rng.NextBool(0.6))) {
+      const NodeId v = static_cast<NodeId>(rng.NextBounded(a.num_nodes()));
+      if (std::find(vs.begin(), vs.end(), v) != vs.end()) continue;
+      vs.push_back(v);
+      acc.Add(v);
+    } else {
+      const size_t i = rng.NextBounded(vs.size());
+      acc.Remove(vs[i]);
+      vs.erase(vs.begin() + static_cast<ptrdiff_t>(i));
+    }
+    InfluenceAccumulator rebuilt(&a);
+    rebuilt.Rebuild(vs);
+    EXPECT_EQ(acc.influence_count(), rebuilt.influence_count());
+    EXPECT_EQ(acc.diversity_count(), rebuilt.diversity_count());
+    EXPECT_EQ(Bits(acc.Score(gamma)), Bits(rebuilt.Score(gamma)));
+    for (NodeId v : vs) {
+      InfluenceAccumulator oracle = RebuiltWithout(a, vs, v);
+      EXPECT_EQ(Bits(acc.ScoreWithout(v, gamma)), Bits(oracle.Score(gamma)))
+          << "step " << step << ", node " << v;
+      if (oracle.influence_count() == acc.influence_count()) {
+        ++paths.kept;
+      } else {
+        ++paths.lost;
+      }
+    }
+    // ScoreWithout probes left the accumulator as it was.
+    EXPECT_EQ(Bits(acc.Score(gamma)), Bits(rebuilt.Score(gamma)));
+  }
+  return paths;
+}
+
+TEST(InfluenceTest, RemovalMatchesRebuildOnStar) {
+  Graph g = MakeStarGraph(12, 11);
+  InfluenceOptions opts;
+  opts.theta = 0.05f;
+  opts.radius = 0.3f;
+  auto a = InfluenceAnalyzer::Build(MakeModel(3), g, opts);
+  ASSERT_TRUE(a.ok());
+  RemovalPaths paths;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    RemovalPaths p = CheckAgainstRebuild(*a, seed, 80, 8);
+    paths.kept += p.kept;
+    paths.lost += p.lost;
+  }
+  EXPECT_GT(paths.kept, 0u);
+  EXPECT_GT(paths.lost, 0u);
+}
+
+TEST(InfluenceTest, RemovalMatchesRebuildOnEnzGraph) {
+  GraphDatabase db = datasets::MakeByName("ENZ", 0.05, 7).ValueOrDie();
+  const Graph& g = db.graph(0);
+  InfluenceOptions opts;
+  opts.theta = 0.08f;
+  opts.radius = 0.25f;
+  auto a = InfluenceAnalyzer::Build(MakeModel(db.feature_dim()), g, opts);
+  ASSERT_TRUE(a.ok());
+  RemovalPaths paths;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    RemovalPaths p = CheckAgainstRebuild(*a, seed, 80, 15);
+    paths.kept += p.kept;
+    paths.lost += p.lost;
+  }
+  EXPECT_GT(paths.kept, 0u);
+  EXPECT_GT(paths.lost, 0u);
+}
+
+TEST(InfluenceTest, RemovalMatchesRebuildOnLargeBalls) {
+  // A ~1000-node call graph with a radius wide enough that one ball holds
+  // most of the graph: the regime where a removal must not cost a
+  // per-element recount.
+  datasets::MalnetOptions mo;
+  mo.num_graphs = 1;
+  mo.min_functions = 1000;
+  mo.max_functions = 1000;
+  GraphDatabase db = datasets::MakeMalnet(mo);
+  const Graph& g = db.graph(0);
+  ASSERT_GE(g.num_nodes(), 1000u);  // planted motifs add a few
+  InfluenceOptions opts;
+  opts.theta = 0.08f;
+  opts.radius = 0.5f;
+  auto a = InfluenceAnalyzer::Build(MakeModel(db.feature_dim()), g, opts);
+  ASSERT_TRUE(a.ok());
+  size_t largest_ball = 0;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    largest_ball = std::max(largest_ball, a->Ball(v).Count());
+  }
+  EXPECT_GT(largest_ball, g.num_nodes() / 2);
+  RemovalPaths paths = CheckAgainstRebuild(*a, 5, 60, 15);
+  EXPECT_GT(paths.kept + paths.lost, 0u);
+  EXPECT_GT(paths.lost, 0u);
 }
 
 // ---- Lemma 3.3 property tests: monotonicity and submodularity -------------

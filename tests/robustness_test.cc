@@ -281,6 +281,25 @@ TEST(RobustnessTest, RetryRecoversFromTransientRenameErrors) {
   std::remove(path.c_str());
 }
 
+TEST(RobustnessTest, SaveViewSetRefusesTwoViewsOfOneLabel) {
+  ExplanationViewSet set;
+  set.views.resize(3);
+  set.views[0].label = 0;
+  set.views[1].label = 1;
+  set.views[2].label = 0;
+  std::string path = TestTempPath("views.txt");
+  Status st = SaveViewSet(set, path);
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  EXPECT_NE(st.message().find("label 0 is listed twice"), std::string::npos);
+  EXPECT_FALSE(FileExists(path));
+  EXPECT_FALSE(FileExists(path + ".tmp"));
+  // One view per label saves.
+  set.views[2].label = 2;
+  ASSERT_TRUE(SaveViewSet(set, path).ok());
+  EXPECT_TRUE(FileExists(path));
+  std::remove(path.c_str());
+}
+
 // ---- checkpoint journal -----------------------------------------------------
 
 TEST(CheckpointTest, AppendFindReload) {
@@ -421,6 +440,21 @@ TEST(ParallelRobustnessTest, RejectsARepeatedLabelBeforeAnyWork) {
   auto serial = solver.Explain(ctx.db, ctx.assigned, {0, 0});
   ASSERT_FALSE(serial.ok());
   EXPECT_TRUE(serial.status().IsInvalidArgument());
+}
+
+TEST(StreamRobustnessTest, RejectsARepeatedLabelBeforeAnyWork) {
+  const auto& ctx = MutagenicityContext();
+  StreamGvex solver(&ctx.model, TestConfig());
+  auto set = solver.Explain(ctx.db, ctx.assigned, {1, 0, 1});
+  ASSERT_FALSE(set.ok());
+  EXPECT_TRUE(set.status().IsInvalidArgument()) << set.status().ToString();
+  // The same refusal, word for word, as the parallel build's.
+  auto parallel = ParallelApproxExplain(ctx.model, ctx.db, ctx.assigned,
+                                        {1, 0, 1}, TestConfig(), {});
+  ASSERT_FALSE(parallel.ok());
+  EXPECT_EQ(set.status().ToString(), parallel.status().ToString());
+  EXPECT_EQ(solver.stats().nodes_processed, 0u);
+  EXPECT_FALSE(solver.in_progress());
 }
 
 TEST(ParallelRobustnessTest, ReportCountsEveryGraphOutcome) {

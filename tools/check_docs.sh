@@ -17,6 +17,11 @@
 #   5. The text-format codec files stay off iostreams: none includes
 #      <sstream> or names SetMaxPrecision, std::istringstream or
 #      std::ostringstream (numbers go through common/text_codec.h).
+#   6. Every row of docs/SERVING.md's "Deployment knobs" table names a
+#      flag of the `serve` row of kCommands, and its default cell agrees
+#      with that row: where the row writes `--flag KIND=v`, the cell's
+#      first word is v; where it writes no default, the cell states no
+#      number (it reads none, off, required, or a name).
 #
 # Run from the repo root (ctest sets the working directory); exits
 # non-zero listing every violation, so one run shows all drift.
@@ -82,6 +87,42 @@ if [[ "$WIRE_TYPES" != "$TYPES" ]]; then
            "$(diff <(echo "$TYPES") <(echo "$WIRE_TYPES") | grep '^[<>]' |
               tr '\n' ' ')"
 fi
+
+echo "== docs-lint: serve defaults in docs/SERVING.md vs the kCommands serve row"
+# The serve row's string literals, with the flag groups it names (kEndpoint,
+# kExplainConfig, ...) expanded from their definitions.
+SERVE_ROW="$(awk '/^ *\{"serve", CmdServe,/ { on = 1 }
+                  on { print }
+                  on && /\}\},$/ { exit }' src/gvex/cli/cli.cc)"
+for group in $(grep -oE '\bk[A-Z][A-Za-z0-9]+\b' <<<"$SERVE_ROW" | sort -u); do
+  SERVE_ROW+=$'\n'"$(awk -v g="$group" \
+    '$0 ~ "^constexpr std::string_view " g " =" { on = 1 }
+     on { print }
+     on && /;$/ { exit }' src/gvex/cli/cli.cc)"
+done
+SERVE_ROW="$(grep -oE '"[^"]*"' <<<"$SERVE_ROW")"
+[[ -n "$SERVE_ROW" ]] || complain "no serve row parsed from src/gvex/cli/cli.cc"
+KNOBS="$(awk '/^## Deployment knobs/ { on = 1; next }
+              on && /^#/ { exit }
+              on && /^\| *`--/ { print }' docs/SERVING.md)"
+[[ -n "$KNOBS" ]] || complain "no Deployment knobs rows parsed from docs/SERVING.md"
+while IFS='|' read -r _ flag_cell default_cell _; do
+  flag="$(grep -oE -- '--[a-z][a-z0-9-]*' <<<"$flag_cell" | head -1)"
+  stated="$(awk '{ gsub(/`/, ""); print $1 }' <<<"$default_cell")"
+  if ! grep -qE -- "${flag}([] =\"]|$)" <<<"$SERVE_ROW"; then
+    complain "docs/SERVING.md knob $flag is not a flag of the serve row"
+    continue
+  fi
+  written="$(grep -oE -- "${flag} [A-Za-z|]+=[^] \"]+" <<<"$SERVE_ROW" |
+             head -1 | sed -E 's/^[^=]*=//')"
+  if [[ -n "$written" && "$stated" != "$written" ]]; then
+    complain "docs/SERVING.md knob $flag says default '$stated';" \
+             "the serve row writes $flag ...=$written"
+  elif [[ -z "$written" && "$stated" =~ ^-?[0-9.] ]]; then
+    complain "docs/SERVING.md knob $flag says default '$stated';" \
+             "the serve row writes no default"
+  fi
+done <<<"$KNOBS"
 
 echo "== docs-lint: relative markdown links resolve"
 ALL_DOCS="$(ls ./*.md docs/*.md 2>/dev/null)"

@@ -50,13 +50,14 @@ ctest --test-dir build-asan --output-on-failure \
 # other — server workers and socket connections, route quotas, ingest,
 # replication, the shard router's hedge legs, the cluster and zoo, the
 # thread pool and parallel explain, chaos schedules, publish fan-out, the
-# obs registry, the checkpoint journal, the MatchCache and the
-# inference forward's per-thread scratch — in one process. Any data race
+# obs registry, the checkpoint journal, the MatchCache, the inference
+# forward's per-thread scratch, the stream solver's fanned-out EVerify
+# probes and the influence build's pooled set loops — in one process. Any data race
 # or leaked thread fails the run; there are no suppressions.
 cmake --preset tsan
 cmake --build --preset tsan -j "$(nproc)"
 TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" build-tsan/tests/gvex_tests \
-  --gtest_filter='Serve*:RouteQuota*:Ingest*:Replication*:ShardRouter*:Cluster*:Zoo*:ThreadPool*:Parallel*:Chaos*:Publish*:ObsTest.*:CheckpointTest.*:MatchCache*:InferConcurrency*'
+  --gtest_filter='Serve*:RouteQuota*:Ingest*:Replication*:ShardRouter*:Cluster*:Zoo*:ThreadPool*:Parallel*:Chaos*:Publish*:ObsTest.*:CheckpointTest.*:MatchCache*:InferConcurrency*:Stream*:InfluenceTest*'
 
 # The pool suite once more, 100 times over: its claim/finish handshake,
 # inline nesting and exception hand-off are timing-dependent, so one pass
