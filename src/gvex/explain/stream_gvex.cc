@@ -90,23 +90,20 @@ Result<ExplanationSubgraph> StreamGvex::ExplainGraphStream(
       continue;
     }
     // Case (b): does v contribute new pattern structure? IncPGen over its
-    // local neighborhood; if every local pattern is already known, skip.
-    // The screen only needs existence of one unseen pattern, so it mines
-    // with tightened bounds.
+    // local neighborhood; if every one of its top-ranked local patterns is
+    // already known, skip. The screen reads codes only, so it ranks them
+    // without building a pattern, and mines with tightened bounds.
     PgenOptions screen = config_.pgen;
     screen.max_pattern_nodes = std::min<size_t>(screen.max_pattern_nodes, 3);
     screen.max_candidates = 16;
     screen.max_enumerated_per_graph =
         std::min<size_t>(screen.max_enumerated_per_graph, 300);
-    std::vector<PatternCandidate> local =
-        GenerateLocalPatternCandidates(g, v, config_.stream_hops, screen);
-    bool contributes = false;
-    for (const auto& cand : local) {
-      if (codes->find(cand.canonical) == codes->end()) {
-        contributes = true;
-        break;
-      }
-    }
+    const std::vector<std::string> local =
+        LocalPatternCodes(g, v, config_.stream_hops, screen);
+    const bool contributes =
+        std::any_of(local.begin(), local.end(), [&](const std::string& code) {
+          return codes->find(code) == codes->end();
+        });
     if (!contributes) {
       vu.push_back(v);
       ++stats_.skips;

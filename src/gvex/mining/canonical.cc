@@ -1,38 +1,131 @@
 #include "gvex/mining/canonical.h"
 
 #include <algorithm>
-#include <functional>
-#include <cassert>
+#include <charconv>
+#include <cstdint>
 #include <numeric>
-
-#include "gvex/common/string_util.h"
+#include <string_view>
+#include <utility>
+#include <vector>
 
 namespace gvex {
 namespace {
 
-// Encode the graph under a specific node order as a compact string:
-// node types in order, then the upper-triangle adjacency with edge types.
-std::string EncodeUnderPermutation(const Graph& g,
-                                   const std::vector<NodeId>& perm) {
-  const size_t n = g.num_nodes();
-  std::string code;
-  code.reserve(n * 3 + n * n);
-  for (NodeId v : perm) {
-    code += std::to_string(g.node_type(v));
-    code += ',';
+// The canonical-code search over one graph given as a table: n nodes, each
+// with a type and a degree, and an arc code per ordered pair (0 = no arc,
+// else edge type + 1). Both public forms fill the table, then call
+// Minimum(); one table per thread is reused across calls.
+class CodeTable {
+ public:
+  void Reset(size_t n) {
+    n_ = n;
+    types_.assign(n, 0);
+    degrees_.assign(n, 0);
+    arcs_.assign(n * n, 0);
   }
-  code += '|';
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j) {
-      if (g.HasEdge(perm[i], perm[j])) {
-        code += std::to_string(g.GetEdgeType(perm[i], perm[j]) + 1);
-      } else {
-        code += '0';
+  void SetType(size_t i, NodeType type) { types_[i] = type; }
+  // The arc i -> j; an undirected edge is recorded as both of its arcs.
+  // A node's degree counts its arcs out, as Graph::degree does.
+  void AddArc(size_t i, size_t j, EdgeType type) {
+    arcs_[i * n_ + j] = static_cast<int64_t>(type) + 1;
+    ++degrees_[i];
+  }
+
+  // The least code over the node orders that sort nodes by (type, degree):
+  // node types in order, then '|', then one ';'-terminated token per pair
+  // i < j in row-major order. Every such order writes the same type
+  // prefix, so the pair tokens decide, and the set of orders tried is an
+  // isomorphism invariant, so the minimum is too.
+  std::string Minimum() {
+    perm_.resize(n_);
+    std::iota(perm_.begin(), perm_.end(), NodeId{0});
+    auto cls = [&](NodeId v) { return std::make_pair(types_[v], degrees_[v]); };
+    std::sort(perm_.begin(), perm_.end(), [&](NodeId a, NodeId b) {
+      return cls(a) != cls(b) ? cls(a) < cls(b) : a < b;
+    });
+    classes_.clear();
+    for (size_t start = 0, i = 1; i <= n_; ++i) {
+      if (i == n_ || cls(perm_[i]) != cls(perm_[start])) {
+        classes_.emplace_back(start, i);
+        start = i;
       }
-      code += ';';
+    }
+    cur_.clear();
+    for (NodeId v : perm_) {
+      AppendNumber(types_[v]);
+      cur_ += ',';
+    }
+    cur_ += '|';
+    prefix_ = cur_.size();
+
+    // An odometer over the classes: each digit steps its class's segment
+    // through every permutation, starting and ending at ascending ids.
+    std::string best;
+    for (;;) {
+      if (EncodeBelow(best)) best = cur_;
+      size_t ci = classes_.size();
+      while (ci > 0 && !std::next_permutation(
+                           perm_.begin() + classes_[ci - 1].first,
+                           perm_.begin() + classes_[ci - 1].second)) {
+        --ci;
+      }
+      if (ci == 0) return best;
     }
   }
-  return code;
+
+ private:
+  void AppendNumber(int64_t x) {
+    char buf[24];
+    cur_.append(buf, std::to_chars(buf, buf + sizeof(buf), x).ptr);
+  }
+
+  // Writes the pair tokens of the current order after the prefix and
+  // returns whether the code is below `best` (always, when there is none
+  // yet). Stops writing once the code is known to be above it.
+  bool EncodeBelow(const std::string& best) {
+    cur_.resize(prefix_);
+    bool below = best.empty();
+    for (size_t i = 0; i < n_; ++i) {
+      const int64_t* row = &arcs_[perm_[i] * n_];
+      for (size_t j = i + 1; j < n_; ++j) {
+        const size_t at = cur_.size();
+        AppendNumber(row[perm_[j]]);
+        cur_ += ';';
+        if (below) continue;
+        // Bytes before `at` equal best's, so at <= best.size().
+        const int c = std::string_view(cur_).substr(at).compare(
+            std::string_view(best).substr(at, cur_.size() - at));
+        if (c > 0) return false;
+        below = c < 0;
+      }
+    }
+    return below || cur_.size() < best.size();
+  }
+
+  size_t n_ = 0;
+  std::vector<NodeType> types_;
+  std::vector<size_t> degrees_;
+  std::vector<int64_t> arcs_;  // n x n, row-major
+  std::vector<NodeId> perm_;
+  std::vector<std::pair<size_t, size_t>> classes_;
+  std::string cur_;
+  size_t prefix_ = 0;
+};
+
+CodeTable& ThreadTable() {
+  thread_local CodeTable table;
+  return table;
+}
+
+// Looks `target` up in one adjacency list.
+bool FindArc(std::span<const Neighbor> list, NodeId target, EdgeType* type) {
+  for (const Neighbor& nb : list) {
+    if (nb.node == target) {
+      *type = nb.edge_type;
+      return true;
+    }
+  }
+  return false;
 }
 
 }  // namespace
@@ -40,48 +133,40 @@ std::string EncodeUnderPermutation(const Graph& g,
 std::string CanonicalCode(const Graph& g) {
   const size_t n = g.num_nodes();
   if (n == 0) return "empty";
-
-  // Order nodes by (type, degree) to shrink the permutation space: only
-  // permutations that respect this sort order can be minimal, because the
-  // type prefix of the code is compared first.
-  std::vector<NodeId> base(n);
-  std::iota(base.begin(), base.end(), 0);
-  auto cls = [&](NodeId v) {
-    return std::make_pair(g.node_type(v), g.degree(v));
-  };
-  std::sort(base.begin(), base.end(),
-            [&](NodeId a, NodeId b) { return cls(a) < cls(b); });
-
-  // Enumerate permutations within equivalence classes of equal (type,
-  // degree); across classes the order is fixed by the sort.
-  std::string best;
-  std::vector<NodeId> perm = base;
-  // Identify class boundaries.
-  std::vector<std::pair<size_t, size_t>> classes;
-  size_t start = 0;
-  for (size_t i = 1; i <= n; ++i) {
-    if (i == n || cls(base[i]) != cls(base[start])) {
-      classes.emplace_back(start, i);
-      start = i;
+  CodeTable& table = ThreadTable();
+  table.Reset(n);
+  for (NodeId u = 0; u < n; ++u) {
+    table.SetType(u, g.node_type(u));
+    for (const Neighbor& nb : g.neighbors(u)) {
+      table.AddArc(u, nb.node, nb.edge_type);
     }
   }
-  // Recursive product of per-class permutations.
-  std::function<void(size_t)> recurse = [&](size_t ci) {
-    if (ci == classes.size()) {
-      std::string code = EncodeUnderPermutation(g, perm);
-      if (best.empty() || code < best) best = std::move(code);
-      return;
+  return table.Minimum();
+}
+
+std::string CanonicalCode(const Graph& g, std::span<const NodeId> nodes) {
+  const size_t n = nodes.size();
+  if (n == 0) return "empty";
+  CodeTable& table = ThreadTable();
+  table.Reset(n);
+  EdgeType type = kDefaultEdgeType;
+  for (size_t i = 0; i < n; ++i) {
+    const NodeId u = nodes[i];
+    table.SetType(i, g.node_type(u));
+    for (size_t j = i + 1; j < n; ++j) {
+      const NodeId v = nodes[j];
+      if (g.directed()) {
+        if (FindArc(g.neighbors(u), v, &type)) table.AddArc(i, j, type);
+        if (FindArc(g.neighbors(v), u, &type)) table.AddArc(j, i, type);
+      } else if (g.degree(u) <= g.degree(v) ? FindArc(g.neighbors(u), v, &type)
+                                            : FindArc(g.neighbors(v), u, &type)) {
+        // Either list holds the edge; the shorter one is scanned.
+        table.AddArc(i, j, type);
+        table.AddArc(j, i, type);
+      }
     }
-    auto [lo, hi] = classes[ci];
-    std::vector<NodeId> segment(perm.begin() + lo, perm.begin() + hi);
-    std::sort(segment.begin(), segment.end());
-    do {
-      std::copy(segment.begin(), segment.end(), perm.begin() + lo);
-      recurse(ci + 1);
-    } while (std::next_permutation(segment.begin(), segment.end()));
-  };
-  recurse(0);
-  return best;
+  }
+  return table.Minimum();
 }
 
 bool AreIsomorphic(const Graph& a, const Graph& b) {

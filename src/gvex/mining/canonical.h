@@ -7,6 +7,7 @@
 // type/degree-class pruning — is both correct and fast enough.
 #pragma once
 
+#include <span>
 #include <string>
 
 #include "gvex/graph/graph.h"
@@ -17,6 +18,12 @@ namespace gvex {
 /// (including node/edge types). Intended for graphs of <= ~10 nodes;
 /// cost grows factorially in the largest same-(type,degree) class.
 std::string CanonicalCode(const Graph& g);
+
+/// Canonical code of the subgraph that `nodes` induce in `g`, read from
+/// g's adjacency without building that subgraph: equal, byte for byte, to
+/// CanonicalCode(g.InducedSubgraph(nodes)). `nodes` must be duplicate-free;
+/// their order does not matter.
+std::string CanonicalCode(const Graph& g, std::span<const NodeId> nodes);
 
 /// True iff a and b are isomorphic, via canonical codes.
 bool AreIsomorphic(const Graph& a, const Graph& b);

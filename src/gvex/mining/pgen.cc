@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <functional>
-#include <set>
+#include <span>
 #include <unordered_map>
 
 #include "gvex/common/arena.h"
@@ -145,92 +145,164 @@ Graph ToPattern(const Graph& g) {
   return p;
 }
 
-std::vector<PatternCandidate> GeneratePatternCandidates(
-    const std::vector<Graph>& subgraphs, const PgenOptions& options) {
+namespace {
+
+// One canonical code's occurrences: within one graph while mining, then
+// across graphs after the merge.
+struct CodeTally {
+  size_t support = 0;     // graphs containing the code
+  size_t embeddings = 0;  // subsets with the code, over all graphs
+  size_t nodes = 0;       // pattern size
+  size_t edges = 0;
+  size_t graph = 0;       // first occurrence: `nodes` ids at offset `first`
+  size_t first = 0;       // of mined[graph].firsts
+};
+
+struct MinedGraph {
+  std::unordered_map<std::string, CodeTally> by_code;
+  std::vector<NodeId> firsts;  // first occurrences' node sets, back to back
+};
+
+// Edges of the subgraph `nodes` induce in g, counted as Graph::num_edges
+// counts them.
+size_t InducedEdges(const Graph& g, std::span<const NodeId> nodes) {
+  size_t m = 0;
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    for (size_t j = i + 1; j < nodes.size(); ++j) {
+      m += g.HasEdge(nodes[i], nodes[j]);
+      if (g.directed()) m += g.HasEdge(nodes[j], nodes[i]);
+    }
+  }
+  return m;
+}
+
+// PGen's enumerate -> tally -> rank: tallies every connected subset of
+// each graph by its canonical code, ranks the codes, and calls
+// emit(code, tally, mdl_score, first) for the top `max_candidates` in rank
+// order. `first` is the code's first occurrence in (graph, ESU) order, a
+// node set of graphs[tally.graph].
+template <typename Emit>
+void MineRankedCodes(std::span<const Graph> graphs, const PgenOptions& options,
+                     Emit&& emit) {
   GVEX_SPAN("pgen.generate");
   GVEX_COUNTER_INC("pgen.calls");
-  struct Entry {
-    PatternCandidate candidate;
-    std::set<size_t> sources;
-  };
-  std::unordered_map<std::string, Entry> by_code;
-
-  // Per-graph ESU enumeration + canonicalization is independent across
-  // graphs, so it fans out over the shared pool into per-graph maps. The
-  // merge below runs serially in ascending gi order, which reproduces the
-  // serial loop exactly: embedding sums and source sets are
-  // order-independent, and the first occurrence in gi order supplies the
-  // representative pattern for each canonical code.
-  struct LocalMined {
-    std::unordered_map<std::string, Entry> by_code;
-  };
-  std::vector<LocalMined> mined(subgraphs.size());
-  ThreadPool::Shared().ParallelFor(subgraphs.size(), [&](size_t gi) {
-    const Graph& g = subgraphs[gi];
-    std::unordered_map<std::string, Entry>& local = mined[gi].by_code;
+  // Per-graph enumeration is independent across graphs, so it fans out over
+  // the shared pool into per-graph tallies; the merge below runs serially in
+  // ascending graph order, so the first occurrence in that order stays each
+  // code's representative.
+  std::vector<MinedGraph> mined(graphs.size());
+  ThreadPool::Shared().ParallelFor(graphs.size(), [&](size_t gi) {
+    const Graph& g = graphs[gi];
+    MinedGraph& local = mined[gi];
     EnumerateConnectedSubgraphs(
         g, options.min_pattern_nodes, options.max_pattern_nodes,
         options.max_enumerated_per_graph,
         [&](const std::vector<NodeId>& nodes) {
-          Graph piece = ToPattern(g.InducedSubgraph(nodes));
-          std::string code = CanonicalCode(piece);
-          auto it = local.find(code);
-          if (it == local.end()) {
-            Entry e;
-            e.candidate.pattern = std::move(piece);
-            e.candidate.canonical = code;
-            e.candidate.embeddings = 1;
-            e.sources.insert(gi);
-            local.emplace(std::move(code), std::move(e));
-          } else {
-            it->second.candidate.embeddings += 1;
+          auto [it, inserted] =
+              local.by_code.try_emplace(CanonicalCode(g, nodes));
+          CodeTally& t = it->second;
+          if (inserted) {
+            t.support = 1;
+            t.nodes = nodes.size();
+            t.edges = InducedEdges(g, nodes);
+            t.graph = gi;
+            t.first = local.firsts.size();
+            local.firsts.insert(local.firsts.end(), nodes.begin(),
+                                nodes.end());
           }
+          ++t.embeddings;
           return true;
         });
   });
-  for (size_t gi = 0; gi < subgraphs.size(); ++gi) {
-    for (auto& [code, entry] : mined[gi].by_code) {
-      auto it = by_code.find(code);
-      if (it == by_code.end()) {
-        by_code.emplace(code, std::move(entry));
-      } else {
-        it->second.candidate.embeddings += entry.candidate.embeddings;
-        it->second.sources.insert(gi);
+  if (graphs.empty()) return;
+  std::unordered_map<std::string, CodeTally> by_code =
+      std::move(mined[0].by_code);
+  for (size_t gi = 1; gi < graphs.size(); ++gi) {
+    for (const auto& [code, tally] : mined[gi].by_code) {
+      auto [it, inserted] = by_code.try_emplace(code, tally);
+      if (!inserted) {
+        it->second.support += 1;
+        it->second.embeddings += tally.embeddings;
       }
     }
   }
 
-  std::vector<PatternCandidate> out;
-  out.reserve(by_code.size());
-  for (auto& [code, entry] : by_code) {
-    PatternCandidate c = std::move(entry.candidate);
-    c.support = entry.sources.size();
+  struct Ranked {
+    double mdl_score;
+    const std::string* code;
+    const CodeTally* tally;
+  };
+  std::vector<Ranked> ranked;
+  ranked.reserve(by_code.size());
+  for (const auto& [code, tally] : by_code) {
     // MDL-style compression gain: re-encoding (embeddings - 1) occurrences
     // by a pointer to the pattern saves ~(nodes + edges) symbols each,
     // minus the one-time cost of describing the pattern itself.
-    const double size_cost = static_cast<double>(c.pattern.num_nodes() +
-                                                 c.pattern.num_edges());
-    c.mdl_score =
-        (static_cast<double>(c.embeddings) - 1.0) * size_cost - size_cost;
-    out.push_back(std::move(c));
+    const double size_cost = static_cast<double>(tally.nodes + tally.edges);
+    ranked.push_back(
+        {(static_cast<double>(tally.embeddings) - 1.0) * size_cost - size_cost,
+         &code, &tally});
   }
-  std::sort(out.begin(), out.end(),
-            [](const PatternCandidate& a, const PatternCandidate& b) {
-              if (a.mdl_score != b.mdl_score) return a.mdl_score > b.mdl_score;
-              if (a.embeddings != b.embeddings) return a.embeddings > b.embeddings;
-              return a.canonical < b.canonical;  // deterministic tie-break
-            });
-  if (options.max_candidates > 0 && out.size() > options.max_candidates) {
-    out.resize(options.max_candidates);
+  const size_t keep = options.max_candidates > 0
+                          ? std::min(options.max_candidates, ranked.size())
+                          : ranked.size();
+  std::partial_sort(
+      ranked.begin(), ranked.begin() + static_cast<ptrdiff_t>(keep),
+      ranked.end(), [](const Ranked& a, const Ranked& b) {
+        if (a.mdl_score != b.mdl_score) return a.mdl_score > b.mdl_score;
+        if (a.tally->embeddings != b.tally->embeddings) {
+          return a.tally->embeddings > b.tally->embeddings;
+        }
+        return *a.code < *b.code;  // deterministic tie-break
+      });
+  for (size_t r = 0; r < keep; ++r) {
+    const CodeTally& t = *ranked[r].tally;
+    emit(*ranked[r].code, t, ranked[r].mdl_score,
+         std::span<const NodeId>(mined[t.graph].firsts.data() + t.first,
+                                 t.nodes));
   }
+}
+
+std::vector<PatternCandidate> MinePatternCandidates(
+    std::span<const Graph> graphs, const PgenOptions& options) {
+  std::vector<PatternCandidate> out;
+  MineRankedCodes(graphs, options,
+                  [&](const std::string& code, const CodeTally& t,
+                      double mdl_score, std::span<const NodeId> first) {
+                    PatternCandidate c;
+                    c.pattern = ToPattern(graphs[t.graph].InducedSubgraph(
+                        std::vector<NodeId>(first.begin(), first.end())));
+                    c.canonical = code;
+                    c.support = t.support;
+                    c.embeddings = t.embeddings;
+                    c.mdl_score = mdl_score;
+                    out.push_back(std::move(c));
+                  });
   return out;
+}
+
+}  // namespace
+
+std::vector<PatternCandidate> GeneratePatternCandidates(
+    const std::vector<Graph>& subgraphs, const PgenOptions& options) {
+  return MinePatternCandidates(subgraphs, options);
 }
 
 std::vector<PatternCandidate> GenerateLocalPatternCandidates(
     const Graph& g, NodeId v, unsigned hops, const PgenOptions& options) {
-  std::vector<NodeId> hood = g.KHopNeighborhood(v, hops);
-  Graph local = g.InducedSubgraph(hood);
-  return GeneratePatternCandidates({local}, options);
+  const Graph local = g.InducedSubgraph(g.KHopNeighborhood(v, hops));
+  return MinePatternCandidates({&local, 1}, options);
+}
+
+std::vector<std::string> LocalPatternCodes(const Graph& g, NodeId v,
+                                           unsigned hops,
+                                           const PgenOptions& options) {
+  const Graph local = g.InducedSubgraph(g.KHopNeighborhood(v, hops));
+  std::vector<std::string> codes;
+  MineRankedCodes({&local, 1}, options,
+                  [&](const std::string& code, const CodeTally&, double,
+                      std::span<const NodeId>) { codes.push_back(code); });
+  return codes;
 }
 
 }  // namespace gvex

@@ -42,7 +42,9 @@ bool EnumerateConnectedSubgraphs(
     const Graph& g, size_t min_nodes, size_t max_nodes, size_t max_enumerated,
     const std::function<bool(const std::vector<NodeId>&)>& cb);
 
-/// PGen over a set of explanation subgraphs.
+/// PGen over a set of explanation subgraphs. Candidates are ranked by MDL
+/// score, then embeddings (both descending), then code; a code's pattern is
+/// its first occurrence in (graph, enumeration) order.
 std::vector<PatternCandidate> GeneratePatternCandidates(
     const std::vector<Graph>& subgraphs, const PgenOptions& options = {});
 
@@ -50,6 +52,13 @@ std::vector<PatternCandidate> GeneratePatternCandidates(
 /// within `g` — the streaming algorithm's localized mining step.
 std::vector<PatternCandidate> GenerateLocalPatternCandidates(
     const Graph& g, NodeId v, unsigned hops, const PgenOptions& options = {});
+
+/// The canonical codes of GenerateLocalPatternCandidates(g, v, hops,
+/// options), in the same order, without building any pattern: the
+/// stream's "does v add an unseen pattern?" screen.
+std::vector<std::string> LocalPatternCodes(const Graph& g, NodeId v,
+                                           unsigned hops,
+                                           const PgenOptions& options = {});
 
 /// Strip features from a graph, keeping types and edges (patterns carry
 /// no feature payload).
