@@ -17,8 +17,9 @@ namespace {
 // Minimum(); one table per thread is reused across calls.
 class CodeTable {
  public:
-  void Reset(size_t n) {
+  void Reset(size_t n, bool directed) {
     n_ = n;
+    directed_ = directed;
     types_.assign(n, 0);
     degrees_.assign(n, 0);
     arcs_.assign(n * n, 0);
@@ -33,9 +34,10 @@ class CodeTable {
 
   // The least code over the node orders that sort nodes by (type, degree):
   // node types in order, then '|', then one ';'-terminated token per pair
-  // i < j in row-major order. Every such order writes the same type
-  // prefix, so the pair tokens decide, and the set of orders tried is an
-  // isomorphism invariant, so the minimum is too.
+  // i < j in row-major order: the arc code of i -> j, and on directed
+  // graphs ',' and the arc code of j -> i. Every such order writes the
+  // same type prefix, so the pair tokens decide, and the set of orders
+  // tried is an isomorphism invariant, so the minimum is too.
   std::string Minimum() {
     perm_.resize(n_);
     std::iota(perm_.begin(), perm_.end(), NodeId{0});
@@ -90,6 +92,10 @@ class CodeTable {
       for (size_t j = i + 1; j < n_; ++j) {
         const size_t at = cur_.size();
         AppendNumber(row[perm_[j]]);
+        if (directed_) {
+          cur_ += ',';
+          AppendNumber(arcs_[perm_[j] * n_ + perm_[i]]);
+        }
         cur_ += ';';
         if (below) continue;
         // Bytes before `at` equal best's, so at <= best.size().
@@ -103,6 +109,7 @@ class CodeTable {
   }
 
   size_t n_ = 0;
+  bool directed_ = false;
   std::vector<NodeType> types_;
   std::vector<size_t> degrees_;
   std::vector<int64_t> arcs_;  // n x n, row-major
@@ -134,7 +141,7 @@ std::string CanonicalCode(const Graph& g) {
   const size_t n = g.num_nodes();
   if (n == 0) return "empty";
   CodeTable& table = ThreadTable();
-  table.Reset(n);
+  table.Reset(n, g.directed());
   for (NodeId u = 0; u < n; ++u) {
     table.SetType(u, g.node_type(u));
     for (const Neighbor& nb : g.neighbors(u)) {
@@ -148,7 +155,7 @@ std::string CanonicalCode(const Graph& g, std::span<const NodeId> nodes) {
   const size_t n = nodes.size();
   if (n == 0) return "empty";
   CodeTable& table = ThreadTable();
-  table.Reset(n);
+  table.Reset(n, g.directed());
   EdgeType type = kDefaultEdgeType;
   for (size_t i = 0; i < n; ++i) {
     const NodeId u = nodes[i];

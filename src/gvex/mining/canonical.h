@@ -15,8 +15,9 @@
 namespace gvex {
 
 /// \brief Canonical string code of a graph: equal codes <=> isomorphic
-/// (including node/edge types). Intended for graphs of <= ~10 nodes;
-/// cost grows factorially in the largest same-(type,degree) class.
+/// (including node/edge types and, on directed graphs, arc directions).
+/// Intended for graphs of <= ~10 nodes; cost grows factorially in the
+/// largest same-(type,degree) class.
 std::string CanonicalCode(const Graph& g);
 
 /// Canonical code of the subgraph that `nodes` induce in `g`, read from
