@@ -9,24 +9,52 @@
 #
 # Usage: tools/run_sanitized_tests.sh [ctest-args...]
 #   e.g. tools/run_sanitized_tests.sh -R IoCorruption
-set -euo pipefail
+#
+# Every leg runs even when an earlier one fails, so one flaky leg cannot
+# hide the others; the script then lists the failed legs and exits 1. A
+# leg whose preset did not build is listed as failed without running.
+set -uo pipefail
 
 cd "$(dirname "$0")/.."
 
-cmake --preset asan-ubsan
-cmake --build --preset asan-ubsan -j "$(nproc)"
+failed=()
+# leg NAME CMD...: run one leg and record it if it fails.
+leg() {
+  local name="$1"
+  shift
+  echo "=== leg: ${name}"
+  if ! "$@"; then
+    echo "=== leg failed: ${name}"
+    failed+=("${name}")
+    return 1
+  fi
+}
+# built NAME PRESET: true if the preset configured and built; otherwise
+# the legs that need it are recorded as failed.
+built() {
+  if [[ " ${failed[*]-} " == *" $2-build "* ]]; then
+    echo "=== leg not run (no $2 build): $1"
+    failed+=("$1")
+    return 1
+  fi
+}
+
+leg asan-ubsan-build \
+  bash -c 'cmake --preset asan-ubsan && cmake --build --preset asan-ubsan -j "$(nproc)"'
 
 export ASAN_OPTIONS="${ASAN_OPTIONS:-abort_on_error=1:detect_leaks=1}"
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}"
 
-ctest --test-dir build-asan --output-on-failure -j "$(nproc)" "$@"
+built asan-ctest asan-ubsan &&
+  leg asan-ctest ctest --test-dir build-asan --output-on-failure -j "$(nproc)" "$@"
 
 # The chaos smoke (the `chaos-smoke` ctest label, tools/chaos_harness)
 # replays seeded fault schedules over the primary/standby/publisher
 # topology. Run it explicitly so a filtered invocation ("$@" above) can
 # never silently skip it: under ASan/UBSan it is the memory-safety gate
 # for every failure path the injected faults can reach.
-ctest --test-dir build-asan --output-on-failure -L chaos-smoke
+built asan-chaos-smoke asan-ubsan &&
+  leg asan-chaos-smoke ctest --test-dir build-asan --output-on-failure -L chaos-smoke
 
 # The serving smoke (also registered as the `serve-smoke`,
 # `cluster-smoke`, `ingest-smoke`, `fleet-smoke`, and `zoo-smoke` ctest
@@ -35,7 +63,8 @@ ctest --test-dir build-asan --output-on-failure -L chaos-smoke
 # the live-ingest write path (journaled crash-exact resume under a real
 # kill -9), and the explainer-zoo evaluation gate; under ASan/UBSan it
 # doubles as a thread-lifecycle and use-after-free gate.
-tools/run_server_smoke.sh build-asan/tools/gvex_tool all
+built asan-server-smoke asan-ubsan &&
+  leg asan-server-smoke tools/run_server_smoke.sh build-asan/tools/gvex_tool all
 
 # The compact-data-plane suites — run explicitly for the same reason as
 # the chaos smoke above. The arena hands out raw bump-pointer memory and
@@ -43,8 +72,9 @@ tools/run_server_smoke.sh build-asan/tools/gvex_tool all
 # view out-of-bounds reads only surface under ASan; the quantize suite
 # covers the fp16/int8 codecs and the bundle-v2 loader against the same
 # out-of-bounds class the io_corruption tests gate for v1 loaders.
-ctest --test-dir build-asan --output-on-failure \
-  -R 'ArenaTest|CsrViewTest|Fp16Test|Int8Test|QuantizedModelTest|QuantizedBundleTest'
+built asan-data-plane asan-ubsan &&
+  leg asan-data-plane ctest --test-dir build-asan --output-on-failure \
+    -R 'ArenaTest|CsrViewTest|Fp16Test|Int8Test|QuantizedModelTest|QuantizedBundleTest'
 
 # The thread-sanitizer leg: every suite that runs threads against each
 # other — server workers and socket connections, route quotas, ingest,
@@ -54,13 +84,22 @@ ctest --test-dir build-asan --output-on-failure \
 # forward's per-thread scratch, the stream solver's fanned-out EVerify
 # probes and the influence build's pooled set loops — in one process. Any data race
 # or leaked thread fails the run; there are no suppressions.
-cmake --preset tsan
-cmake --build --preset tsan -j "$(nproc)"
-TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" build-tsan/tests/gvex_tests \
-  --gtest_filter='Serve*:RouteQuota*:Ingest*:Replication*:ShardRouter*:Cluster*:Zoo*:ThreadPool*:Parallel*:Chaos*:Publish*:ObsTest.*:CheckpointTest.*:MatchCache*:InferConcurrency*:Stream*:InfluenceTest*'
+leg tsan-build \
+  bash -c 'cmake --preset tsan && cmake --build --preset tsan -j "$(nproc)"'
+export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
+built tsan-concurrent-suites tsan &&
+  leg tsan-concurrent-suites build-tsan/tests/gvex_tests \
+    --gtest_filter='Serve*:RouteQuota*:Ingest*:Replication*:ShardRouter*:Cluster*:Zoo*:ThreadPool*:Parallel*:Chaos*:Publish*:ObsTest.*:CheckpointTest.*:MatchCache*:InferConcurrency*:Stream*:InfluenceTest*'
 
 # The pool suite once more, 100 times over: its claim/finish handshake,
 # inline nesting and exception hand-off are timing-dependent, so one pass
 # samples few interleavings.
-TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" build-tsan/tests/gvex_tests \
-  --gtest_filter='ThreadPool*' --gtest_repeat=100
+built tsan-thread-pool-x100 tsan &&
+  leg tsan-thread-pool-x100 build-tsan/tests/gvex_tests \
+    --gtest_filter='ThreadPool*' --gtest_repeat=100
+
+if ((${#failed[@]} > 0)); then
+  echo "=== ${#failed[@]} leg(s) failed: ${failed[*]}"
+  exit 1
+fi
+echo "=== every leg passed"
