@@ -150,7 +150,7 @@ namespace {
 // One canonical code's occurrences: within one graph while mining, then
 // across graphs after the merge.
 struct CodeTally {
-  size_t support = 0;     // graphs containing the code
+  size_t support = 1;     // graphs containing the code
   size_t embeddings = 0;  // subsets with the code, over all graphs
   size_t nodes = 0;       // pattern size
   size_t edges = 0;
@@ -202,7 +202,6 @@ void MineRankedCodes(std::span<const Graph> graphs, const PgenOptions& options,
               local.by_code.try_emplace(CanonicalCode(g, nodes));
           CodeTally& t = it->second;
           if (inserted) {
-            t.support = 1;
             t.nodes = nodes.size();
             t.edges = InducedEdges(g, nodes);
             t.graph = gi;
