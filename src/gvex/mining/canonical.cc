@@ -124,7 +124,6 @@ CodeTable& ThreadTable() {
   return table;
 }
 
-// Looks `target` up in one adjacency list.
 bool FindArc(std::span<const Neighbor> list, NodeId target, EdgeType* type) {
   for (const Neighbor& nb : list) {
     if (nb.node == target) {

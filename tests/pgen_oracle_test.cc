@@ -240,7 +240,6 @@ Graph EmbedInHost(Rng* rng, const Graph& g, std::vector<NodeId>* at) {
 
 TEST(CanonicalCodeOracleTest, BothFormsMatchTheReferenceOnRandomGraphs) {
   Rng rng(20231);
-  size_t checked = 0;
   for (int trial = 0; trial < 600; ++trial) {
     const size_t n = 1 + rng.NextBounded(8);
     const size_t types = 1 + rng.NextBounded(3);
@@ -257,9 +256,7 @@ TEST(CanonicalCodeOracleTest, BothFormsMatchTheReferenceOnRandomGraphs) {
     EXPECT_EQ(CanonicalCode(host, at), want) << g.DebugString();
     std::sort(at.begin(), at.end());
     EXPECT_EQ(CanonicalCode(host, at), want) << g.DebugString();
-    ++checked;
   }
-  EXPECT_EQ(checked, 600u);
 }
 
 TEST(CanonicalCodeOracleTest, BothFormsMatchTheReferenceOnDatasetSubsets) {
@@ -345,7 +342,7 @@ TEST(PgenOracleTest, CandidatesEqualTheMaterializingPath) {
   for (const char* name : {"MUT", "ENZ", "RED", "PCQ", "MAL"}) {
     SCOPED_TRACE(name);
     const GraphDatabase db = datasets::MakeByName(name, 0.1, 7).ValueOrDie();
-    // Explanation-sized inputs: the first 12 nodes' neighborhoods.
+    // Explanation-sized inputs: one 2-hop neighborhood per graph.
     std::vector<Graph> subgraphs;
     for (size_t gi = 0; gi < std::min<size_t>(db.size(), 8); ++gi) {
       const Graph& g = db.graph(gi);

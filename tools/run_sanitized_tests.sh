@@ -18,43 +18,39 @@ set -uo pipefail
 cd "$(dirname "$0")/.."
 
 failed=()
-# leg NAME CMD...: run one leg and record it if it fails.
+# leg NAME NEEDS CMD...: run one leg and record it if it fails. A leg is
+# recorded as failed without running when the leg it NEEDS (its preset's
+# build) failed; "-" needs none.
 leg() {
-  local name="$1"
-  shift
+  local name="$1" needs="$2"
+  shift 2
+  if [[ " ${failed[*]-} " == *" ${needs} "* ]]; then
+    echo "=== leg not run (${needs} failed): ${name}"
+    failed+=("${name}")
+    return
+  fi
   echo "=== leg: ${name}"
   if ! "$@"; then
     echo "=== leg failed: ${name}"
     failed+=("${name}")
-    return 1
-  fi
-}
-# built NAME PRESET: true if the preset configured and built; otherwise
-# the legs that need it are recorded as failed.
-built() {
-  if [[ " ${failed[*]-} " == *" $2-build "* ]]; then
-    echo "=== leg not run (no $2 build): $1"
-    failed+=("$1")
-    return 1
   fi
 }
 
-leg asan-ubsan-build \
+leg asan-ubsan-build - \
   bash -c 'cmake --preset asan-ubsan && cmake --build --preset asan-ubsan -j "$(nproc)"'
 
 export ASAN_OPTIONS="${ASAN_OPTIONS:-abort_on_error=1:detect_leaks=1}"
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}"
 
-built asan-ctest asan-ubsan &&
-  leg asan-ctest ctest --test-dir build-asan --output-on-failure -j "$(nproc)" "$@"
+leg asan-ctest asan-ubsan-build ctest --test-dir build-asan --output-on-failure -j "$(nproc)" "$@"
 
 # The chaos smoke (the `chaos-smoke` ctest label, tools/chaos_harness)
 # replays seeded fault schedules over the primary/standby/publisher
 # topology. Run it explicitly so a filtered invocation ("$@" above) can
 # never silently skip it: under ASan/UBSan it is the memory-safety gate
 # for every failure path the injected faults can reach.
-built asan-chaos-smoke asan-ubsan &&
-  leg asan-chaos-smoke ctest --test-dir build-asan --output-on-failure -L chaos-smoke
+leg asan-chaos-smoke asan-ubsan-build \
+  ctest --test-dir build-asan --output-on-failure -L chaos-smoke
 
 # The serving smoke (also registered as the `serve-smoke`,
 # `cluster-smoke`, `ingest-smoke`, `fleet-smoke`, and `zoo-smoke` ctest
@@ -63,8 +59,8 @@ built asan-chaos-smoke asan-ubsan &&
 # the live-ingest write path (journaled crash-exact resume under a real
 # kill -9), and the explainer-zoo evaluation gate; under ASan/UBSan it
 # doubles as a thread-lifecycle and use-after-free gate.
-built asan-server-smoke asan-ubsan &&
-  leg asan-server-smoke tools/run_server_smoke.sh build-asan/tools/gvex_tool all
+leg asan-server-smoke asan-ubsan-build \
+  tools/run_server_smoke.sh build-asan/tools/gvex_tool all
 
 # The compact-data-plane suites — run explicitly for the same reason as
 # the chaos smoke above. The arena hands out raw bump-pointer memory and
@@ -72,9 +68,9 @@ built asan-server-smoke asan-ubsan &&
 # view out-of-bounds reads only surface under ASan; the quantize suite
 # covers the fp16/int8 codecs and the bundle-v2 loader against the same
 # out-of-bounds class the io_corruption tests gate for v1 loaders.
-built asan-data-plane asan-ubsan &&
-  leg asan-data-plane ctest --test-dir build-asan --output-on-failure \
-    -R 'ArenaTest|CsrViewTest|Fp16Test|Int8Test|QuantizedModelTest|QuantizedBundleTest'
+leg asan-data-plane asan-ubsan-build \
+  ctest --test-dir build-asan --output-on-failure \
+  -R 'ArenaTest|CsrViewTest|Fp16Test|Int8Test|QuantizedModelTest|QuantizedBundleTest'
 
 # The thread-sanitizer leg: every suite that runs threads against each
 # other — server workers and socket connections, route quotas, ingest,
@@ -84,19 +80,17 @@ built asan-data-plane asan-ubsan &&
 # forward's per-thread scratch, the stream solver's fanned-out EVerify
 # probes and the influence build's pooled set loops — in one process. Any data race
 # or leaked thread fails the run; there are no suppressions.
-leg tsan-build \
+leg tsan-build - \
   bash -c 'cmake --preset tsan && cmake --build --preset tsan -j "$(nproc)"'
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
-built tsan-concurrent-suites tsan &&
-  leg tsan-concurrent-suites build-tsan/tests/gvex_tests \
-    --gtest_filter='Serve*:RouteQuota*:Ingest*:Replication*:ShardRouter*:Cluster*:Zoo*:ThreadPool*:Parallel*:Chaos*:Publish*:ObsTest.*:CheckpointTest.*:MatchCache*:InferConcurrency*:Stream*:InfluenceTest*'
+leg tsan-concurrent-suites tsan-build build-tsan/tests/gvex_tests \
+  --gtest_filter='Serve*:RouteQuota*:Ingest*:Replication*:ShardRouter*:Cluster*:Zoo*:ThreadPool*:Parallel*:Chaos*:Publish*:ObsTest.*:CheckpointTest.*:MatchCache*:InferConcurrency*:Stream*:InfluenceTest*'
 
 # The pool suite once more, 100 times over: its claim/finish handshake,
 # inline nesting and exception hand-off are timing-dependent, so one pass
 # samples few interleavings.
-built tsan-thread-pool-x100 tsan &&
-  leg tsan-thread-pool-x100 build-tsan/tests/gvex_tests \
-    --gtest_filter='ThreadPool*' --gtest_repeat=100
+leg tsan-thread-pool-x100 tsan-build build-tsan/tests/gvex_tests \
+  --gtest_filter='ThreadPool*' --gtest_repeat=100
 
 if ((${#failed[@]} > 0)); then
   echo "=== ${#failed[@]} leg(s) failed: ${failed[*]}"
