@@ -164,9 +164,13 @@ std::string CanonicalCode(const Graph& g, std::span<const NodeId> nodes) {
       if (g.directed()) {
         if (FindArc(g.neighbors(u), v, &type)) table.AddArc(i, j, type);
         if (FindArc(g.neighbors(v), u, &type)) table.AddArc(j, i, type);
-      } else if (g.degree(u) <= g.degree(v) ? FindArc(g.neighbors(u), v, &type)
-                                            : FindArc(g.neighbors(v), u, &type)) {
-        // Either list holds the edge; the shorter one is scanned.
+        continue;
+      }
+      // Either list holds the edge; scan the shorter one.
+      const bool edge = g.degree(u) <= g.degree(v)
+                            ? FindArc(g.neighbors(u), v, &type)
+                            : FindArc(g.neighbors(v), u, &type);
+      if (edge) {
         table.AddArc(i, j, type);
         table.AddArc(j, i, type);
       }

@@ -133,7 +133,9 @@ ReferenceRun ReferencePatternCandidates(const std::vector<Graph>& subgraphs,
   std::sort(run.candidates.begin(), run.candidates.end(),
             [](const PatternCandidate& a, const PatternCandidate& b) {
               if (a.mdl_score != b.mdl_score) return a.mdl_score > b.mdl_score;
-              if (a.embeddings != b.embeddings) return a.embeddings > b.embeddings;
+              if (a.embeddings != b.embeddings) {
+                return a.embeddings > b.embeddings;
+              }
               return a.canonical < b.canonical;
             });
   if (options.max_candidates > 0 &&
