@@ -17,6 +17,26 @@ struct Candidate {
 
 }  // namespace
 
+std::vector<float> GradientSaliency(const GcnClassifier& model, const Graph& g,
+                                    ClassLabel l) {
+  std::vector<float> saliency(g.num_nodes(), 0.0f);
+  GcnTrace trace = model.Forward(g);
+  if (!trace.logits.empty() && l >= 0 &&
+      static_cast<size_t>(l) < trace.probs.size()) {
+    Matrix grad = model.InputLogitGradient(trace, l);
+    for (NodeId v = 0; v < g.num_nodes(); ++v) saliency[v] = grad.RowL1Norm(v);
+  }
+  return saliency;
+}
+
+void SortBySaliency(const std::vector<float>& saliency,
+                    std::vector<NodeId>* nodes) {
+  std::sort(nodes->begin(), nodes->end(), [&](NodeId a, NodeId b) {
+    if (saliency[a] != saliency[b]) return saliency[a] > saliency[b];
+    return a < b;
+  });
+}
+
 Result<ExplanationSubgraph> ApproxGvex::ExplainGraph(const Graph& g,
                                                      size_t graph_index,
                                                      ClassLabel l) {
@@ -27,18 +47,12 @@ Result<ExplanationSubgraph> ApproxGvex::ExplainGraph(const Graph& g,
   }
   GVEX_SPAN("approx.explain_graph");
   GVEX_COUNTER_INC("approx.graphs");
-  CoverageConstraint cc = config_.ConstraintFor(l);
-  if (cc.lower > cc.upper || cc.upper == 0) {
-    return Status::InvalidArgument("invalid coverage constraint");
+  Result<CoverageConstraint> bound = config_.ConstraintFor(l, g.num_nodes());
+  if (!bound.ok()) {
+    if (bound.status().IsInfeasible()) ++stats_.graphs_infeasible;
+    return bound.status();
   }
-  // Selecting every node would make the counterfactual test vacuous
-  // (empty remainder); always leave at least one node behind.
-  cc.upper = std::min(cc.upper, g.num_nodes() - 1);
-  cc.lower = std::min(cc.lower, cc.upper);
-  if (cc.upper == 0) {
-    ++stats_.graphs_infeasible;
-    return Status::Infeasible("single-node graph has no proper subgraph");
-  }
+  const CoverageConstraint cc = *bound;
 
   GVEX_ASSIGN_OR_RETURN(
       InfluenceAnalyzer analyzer,
@@ -47,34 +61,20 @@ Result<ExplanationSubgraph> ApproxGvex::ExplainGraph(const Graph& g,
   const float gamma = config_.gamma;
   const double inv_graph_size = 1.0 / static_cast<double>(g.num_nodes());
 
-  // Gradient saliency per node: a second candidate-screening signal. The
-  // paper's VpExtend EVerifies every candidate; our top-K screen must not
-  // miss label-critical nodes whose *influence* gain happens to be small
+  // Saliency is a second candidate-screening signal. The paper's VpExtend
+  // EVerifies every candidate; our top-K screen must not miss
+  // label-critical nodes whose *influence* gain happens to be small
   // (common when the class evidence sits on low-degree nodes), so the
   // probe set is the union of the top-K by f-gain and the top-K by
-  // saliency.
-  std::vector<float> saliency(g.num_nodes(), 0.0f);
-  {
-    GcnTrace trace = model_->Forward(g);
-    if (!trace.logits.empty() && l >= 0 &&
-        static_cast<size_t>(l) < trace.probs.size()) {
-      Matrix grad = model_->InputLogitGradient(trace, l);
-      for (NodeId v = 0; v < g.num_nodes(); ++v) {
-        saliency[v] = grad.RowL1Norm(v);
-      }
-    }
-  }
+  // saliency. The rank reads saliency scaled by 1/max into [0, 1].
+  const std::vector<float> saliency = GradientSaliency(*model_, g, l);
   float max_saliency = 0.0f;
   for (float s : saliency) max_saliency = std::max(max_saliency, s);
   const float inv_saliency =
       max_saliency > 0.0f ? 1.0f / max_saliency : 0.0f;
   std::vector<NodeId> saliency_order(g.num_nodes());
   for (NodeId v = 0; v < g.num_nodes(); ++v) saliency_order[v] = v;
-  std::sort(saliency_order.begin(), saliency_order.end(),
-            [&](NodeId a, NodeId b) {
-              if (saliency[a] != saliency[b]) return saliency[a] > saliency[b];
-              return a < b;
-            });
+  SortBySaliency(saliency, &saliency_order);
 
   std::vector<bool> in_vs(g.num_nodes(), false);
   std::vector<NodeId> vs;  // V_S, kept sorted on return
@@ -140,8 +140,7 @@ Result<ExplanationSubgraph> ApproxGvex::ExplainGraph(const Graph& g,
       }
       double rank = probe_gain[i] * inv_graph_size +
                     static_cast<double>(config_.counterfactual_bonus) *
-                        (static_cast<double>(ev.prob_subgraph) -
-                         static_cast<double>(ev.prob_remainder)) +
+                        ev.Margin() +
                     static_cast<double>(config_.saliency_weight) *
                         static_cast<double>(saliency[probe[i]] * inv_saliency);
       if (rank > best_rank) {

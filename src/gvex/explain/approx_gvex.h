@@ -66,7 +66,6 @@ class ApproxGvex {
 
   const Configuration& config() const { return config_; }
   const ApproxGvexStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = ApproxGvexStats{}; }
 
   /// Explain a single graph w.r.t. label l (the body of Algorithm 1).
   /// Returns kInfeasible when no node set within [b_l, u_l] satisfies C2.
@@ -102,5 +101,19 @@ class ApproxGvex {
   Configuration config_;
   ApproxGvexStats stats_;
 };
+
+/// Gradient saliency of each node of `g` for label `l`: the L1 norm of the
+/// class logit's gradient on the node's input row, a first-order estimate
+/// of what removing the node does to the logit. Both solvers probe the
+/// most salient nodes, so that label-critical nodes the f-driven selection
+/// passes over still get verified. All zeros when `l` is not a class of
+/// the model.
+std::vector<float> GradientSaliency(const GcnClassifier& model, const Graph& g,
+                                    ClassLabel l);
+
+/// Sorts `nodes` most salient first, ties by ascending id. It compares raw
+/// saliency: values scaled to [0, 1] can tie where raw ones do not.
+void SortBySaliency(const std::vector<float>& saliency,
+                    std::vector<NodeId>* nodes);
 
 }  // namespace gvex

@@ -3,9 +3,11 @@
 // influence backend, pattern-mining bounds, candidate-verification budget).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <unordered_map>
 
+#include "gvex/common/result.h"
 #include "gvex/graph/graph.h"
 #include "gvex/influence/influence.h"
 #include "gvex/matching/vf2.h"
@@ -14,8 +16,8 @@
 namespace gvex {
 
 /// \brief Per-label coverage constraint [b_l, u_l] on the number of nodes an
-/// explanation subgraph may select from a graph (Algorithm 1 enforces these
-/// per graph: the while-loop bound and the V_u top-up phase).
+/// explanation subgraph may select from a graph (both solvers enforce it
+/// per graph, as Configuration::ConstraintFor(l, n) bounds it).
 struct CoverageConstraint {
   size_t lower = 0;
   size_t upper = 15;
@@ -67,6 +69,24 @@ struct Configuration {
   const CoverageConstraint& ConstraintFor(ClassLabel l) const {
     auto it = coverage.find(l);
     return it == coverage.end() ? default_coverage : it->second;
+  }
+
+  /// The bound both solvers enforce on a graph of n >= 1 nodes: u_l is
+  /// capped at n - 1, since selecting every node would make the
+  /// counterfactual test vacuous (empty remainder), and b_l at the capped
+  /// u_l. kInvalidArgument when [b_l, u_l] is empty or u_l = 0;
+  /// kInfeasible for a one-node graph, which has no proper subgraph.
+  Result<CoverageConstraint> ConstraintFor(ClassLabel l, size_t n) const {
+    CoverageConstraint cc = ConstraintFor(l);
+    if (cc.lower > cc.upper || cc.upper == 0) {
+      return Status::InvalidArgument("invalid coverage constraint");
+    }
+    cc.upper = std::min(cc.upper, n - 1);
+    cc.lower = std::min(cc.lower, cc.upper);
+    if (cc.upper == 0) {
+      return Status::Infeasible("single-node graph has no proper subgraph");
+    }
+    return cc;
   }
 
   InfluenceOptions MakeInfluenceOptions() const {

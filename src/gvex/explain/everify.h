@@ -19,6 +19,13 @@ struct EVerifyResult {
   float prob_remainder = 0.0f;   ///< P(M(G \ G_s) = l)
 
   bool IsExplanation() const { return consistent && counterfactual; }
+
+  /// C2 progress, P(M(G_s) = l) - P(M(G \ G_s) = l) in double: how far
+  /// the subgraph is toward consistent and counterfactual.
+  double Margin() const {
+    return static_cast<double>(prob_subgraph) -
+           static_cast<double>(prob_remainder);
+  }
 };
 
 /// \brief Stateless verifier bound to a fixed model M.

@@ -1,7 +1,9 @@
 // Psum: the summarize phase of §4 — compute a set of patterns P^l that
 // covers every node of the explanation subgraphs while minimizing the total
 // edge-miss weight w(P) = 1 - |P_Es| / |Es| (a greedy weighted set cover,
-// H_{u_l}-approximate per Lemma 4.3).
+// H_{u_l}-approximate per Lemma 4.3). ReducePatterns is the stream's
+// counterpart (Procedure 5): the same cover over a pattern set it already
+// holds.
 #pragma once
 
 #include <vector>
@@ -28,5 +30,16 @@ struct PsumResult {
 /// holds on return (the defining property of a graph view, §2.1).
 PsumResult Psum(const std::vector<Graph>& subgraphs,
                 const Configuration& config);
+
+/// Reduce a pattern set to a coverage-minimal subset over `subgraphs`
+/// (greedy weighted set cover over the *given* patterns; full node
+/// coverage is preserved). Returns the reduced set and the edge loss.
+struct PatternReduction {
+  std::vector<Graph> patterns;
+  double edge_loss = 0.0;
+};
+PatternReduction ReducePatterns(const std::vector<Graph>& patterns,
+                                const std::vector<Graph>& subgraphs,
+                                const Configuration& config);
 
 }  // namespace gvex

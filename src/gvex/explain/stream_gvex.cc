@@ -2,11 +2,10 @@
 
 #include <algorithm>
 
-#include "gvex/common/bitset.h"
 #include "gvex/common/failpoint.h"
-#include "gvex/common/logging.h"
 #include "gvex/common/rng.h"
 #include "gvex/common/thread_pool.h"
+#include "gvex/explain/approx_gvex.h"
 #include "gvex/influence/influence.h"
 #include "gvex/matching/match_cache.h"
 #include "gvex/matching/vf2.h"
@@ -40,17 +39,12 @@ Result<ExplanationSubgraph> StreamGvex::ExplainGraphStream(
   }
   GVEX_SPAN("stream.explain_graph");
   GVEX_COUNTER_INC("stream.graphs");
-  CoverageConstraint cc = config_.ConstraintFor(l);
-  if (cc.lower > cc.upper || cc.upper == 0) {
-    return Status::InvalidArgument("invalid coverage constraint");
+  Result<CoverageConstraint> bound = config_.ConstraintFor(l, g.num_nodes());
+  if (!bound.ok()) {
+    if (bound.status().IsInfeasible()) ++stats_.graphs_infeasible;
+    return bound.status();
   }
-  // Keep the counterfactual test meaningful: never cache the whole graph.
-  cc.upper = std::min(cc.upper, g.num_nodes() - 1);
-  cc.lower = std::min(cc.lower, cc.upper);
-  if (cc.upper == 0) {
-    ++stats_.graphs_infeasible;
-    return Status::Infeasible("single-node graph has no proper subgraph");
-  }
+  const CoverageConstraint cc = *bound;
 
   // IncEVerify surrogate: the influence/diversity state is prepared once
   // and queried incrementally per arriving node (same asymptotics as the
@@ -70,7 +64,7 @@ Result<ExplanationSubgraph> StreamGvex::ExplainGraphStream(
 
   InfluenceAccumulator acc(&analyzer);
   std::vector<NodeId> vs;
-  std::vector<NodeId> vu;  // rejected/evicted candidates, for the top-up
+  std::vector<NodeId> vu;  // rejected/evicted candidates, for the repair
 
   for (NodeId v : stream) {
     // IncUpdateVS (Procedure 4) is the per-arrival hot path of the
@@ -142,118 +136,37 @@ Result<ExplanationSubgraph> StreamGvex::ExplainGraphStream(
     }
   }
 
-  // Gradient saliency, used by the C2 repair phase to probe label-critical
-  // nodes the f-driven cache may have passed over (cf. ApproxGVEX).
-  std::vector<float> saliency(g.num_nodes(), 0.0f);
-  {
-    GcnTrace trace = model_->Forward(g);
-    if (!trace.logits.empty() && l >= 0 &&
-        static_cast<size_t>(l) < trace.probs.size()) {
-      Matrix grad = model_->InputLogitGradient(trace, l);
-      for (NodeId v = 0; v < g.num_nodes(); ++v) {
-        saliency[v] = grad.RowL1Norm(v);
-      }
-    }
-  }
-  float max_saliency = 0.0f;
-  for (float s : saliency) max_saliency = std::max(max_saliency, s);
-  const float inv_saliency =
-      max_saliency > 0.0f ? 1.0f / max_saliency : 0.0f;
+  // Gradient saliency, used by the C2 repairs below to probe
+  // label-critical nodes the f-driven cache may have passed over (cf.
+  // ApproxGVEX).
+  const std::vector<float> saliency = GradientSaliency(*model_, g, l);
 
-  // Lower-bound top-up from V_u (Algorithm 3 line 10).
+  // Nothing to top up or grow. Algorithm 3 line 10 tops V_S up to b_l from
+  // the pool V_u, and a greedy C2 repair could grow V_S from V_u up to u_l;
+  // both need |V_S| < u_l and a non-empty V_u. But Procedure 4 puts a node
+  // into V_u (cases (b) and (c)) only once V_S holds u_l nodes, and a swap
+  // keeps |V_S|, so V_u is empty whenever |V_S| < u_l. V_S falls short of
+  // b_l only when the stream delivers fewer than b_l nodes, and then no
+  // pool node can fill it.
+  if (vs.size() < cc.lower) {
+    ++stats_.graphs_infeasible;
+    return Status::Infeasible("stream could not meet coverage lower bound");
+  }
   std::sort(vu.begin(), vu.end());
   vu.erase(std::unique(vu.begin(), vu.end()), vu.end());
   auto in_vs = [&](NodeId v) {
     return std::find(vs.begin(), vs.end(), v) != vs.end();
   };
-  while (vs.size() < cc.lower && !vu.empty()) {
-    double base_score = acc.Score(gamma);
-    size_t best_i = static_cast<size_t>(-1);
-    double best_gain = -1e18;
-    for (size_t i = 0; i < vu.size(); ++i) {
-      if (in_vs(vu[i])) continue;
-      double gain = acc.ScoreWith(vu[i], gamma) - base_score;
-      if (gain > best_gain) {
-        best_gain = gain;
-        best_i = i;
-      }
-    }
-    if (best_i == static_cast<size_t>(-1)) break;
-    vs.push_back(vu[best_i]);
-    acc.Add(vu[best_i]);
-    vu.erase(vu.begin() + static_cast<ptrdiff_t>(best_i));
-  }
-  if (vs.size() < cc.lower) {
-    ++stats_.graphs_infeasible;
-    return Status::Infeasible("stream could not meet coverage lower bound");
-  }
-
-  // Finalize C2: if the maintained cache is not yet consistent +
-  // counterfactual, repair greedily from V_u within the budget.
   std::sort(vs.begin(), vs.end());
   ++stats_.everify_calls;
   EVerifyResult check = verifier_.Verify(g, vs, l);
-  while (!check.IsExplanation() && vs.size() < cc.upper && !vu.empty()) {
-    // Rank the pool by marginal f-gain, then EVerify the top few and pick
-    // the one that makes the most consistency/counterfactual progress —
-    // the same guided selection ApproxGVEX's VpExtend performs.
-    double base_score = acc.Score(gamma);
-    std::vector<std::pair<double, size_t>> ranked;
-    ranked.reserve(vu.size());
-    for (size_t i = 0; i < vu.size(); ++i) {
-      if (in_vs(vu[i])) continue;
-      double gain = acc.ScoreWith(vu[i], gamma) - base_score;
-      ranked.emplace_back(
-          gain / static_cast<double>(g.num_nodes()) +
-              static_cast<double>(config_.saliency_weight) *
-                  static_cast<double>(saliency[vu[i]] * inv_saliency),
-          i);
-    }
-    if (ranked.empty()) break;
-    std::sort(ranked.rbegin(), ranked.rend());
-    size_t probe = std::min<size_t>(ranked.size(),
-                                    std::max<size_t>(1, config_.everify_top_k));
-    // The probes are independent: verify them across the shared pool, then
-    // pick serially in rank order.
-    std::vector<EVerifyResult> evs(probe);
-    ThreadPool::Shared().ParallelFor(probe, [&](size_t p) {
-      std::vector<NodeId> trial = vs;
-      trial.push_back(vu[ranked[p].second]);
-      std::sort(trial.begin(), trial.end());
-      evs[p] = verifier_.Verify(g, trial, l);
-    });
-    stats_.everify_calls += probe;
-    size_t best_i = static_cast<size_t>(-1);
-    double best_rank = -1e18;
-    for (size_t p = 0; p < probe; ++p) {
-      size_t i = ranked[p].second;
-      const EVerifyResult& ev = evs[p];
-      double rank = ranked[p].first +
-                    static_cast<double>(config_.counterfactual_bonus) *
-                        (static_cast<double>(ev.prob_subgraph) -
-                         static_cast<double>(ev.prob_remainder));
-      if (ev.IsExplanation()) rank += 10.0;  // take a valid completion now
-      if (rank > best_rank) {
-        best_rank = rank;
-        best_i = i;
-      }
-    }
-    if (best_i == static_cast<size_t>(-1)) break;
-    vs.push_back(vu[best_i]);
-    acc.Add(vu[best_i]);
-    vu.erase(vu.begin() + static_cast<ptrdiff_t>(best_i));
-    std::sort(vs.begin(), vs.end());
-    ++stats_.everify_calls;
-    check = verifier_.Verify(g, vs, l);
-  }
   // Swap repair: when the cache is at capacity but C2 fails (important
   // nodes were evicted by the f-driven 2x rule, which guards
   // explainability only), hill-climb over (victim, candidate) swaps
   // guided by saliency and EVerify progress until validity is restored or
   // progress stalls. Bounded by u_l rounds of (3 x 8) probes.
   if (!check.IsExplanation() && vs.size() == cc.upper && !vu.empty()) {
-    double progress = static_cast<double>(check.prob_subgraph) -
-                      static_cast<double>(check.prob_remainder);
+    double progress = check.Margin();
     for (size_t round = 0; round < cc.upper && !check.IsExplanation();
          ++round) {
       // Victims: cheapest explainability removals first.
@@ -269,10 +182,7 @@ Result<ExplanationSubgraph> StreamGvex::ExplainGraphStream(
       for (NodeId u : vu) {
         if (!in_vs(u)) cands.push_back(u);
       }
-      std::sort(cands.begin(), cands.end(), [&](NodeId a, NodeId b) {
-        if (saliency[a] != saliency[b]) return saliency[a] > saliency[b];
-        return a < b;
-      });
+      SortBySaliency(saliency, &cands);
       const size_t victim_probe = std::min<size_t>(victims.size(), 3);
       const size_t cand_probe = std::min<size_t>(cands.size(), 8);
       std::vector<NodeId> best_trial;
@@ -299,8 +209,7 @@ Result<ExplanationSubgraph> StreamGvex::ExplainGraphStream(
         stats_.everify_calls += cand_probe;
         for (size_t ci = 0; ci < cand_probe; ++ci) {
           const EVerifyResult& ev = evs[ci];
-          double p = static_cast<double>(ev.prob_subgraph) -
-                     static_cast<double>(ev.prob_remainder);
+          double p = ev.Margin();
           if (ev.IsExplanation()) p += 10.0;
           if (p > best_progress + 1e-9) {
             best_progress = p;
@@ -335,13 +244,7 @@ Result<ExplanationSubgraph> StreamGvex::ExplainGraphStream(
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
       if (seen[v]) by_saliency.push_back(v);
     }
-    std::sort(by_saliency.begin(), by_saliency.end(),
-              [&](NodeId a, NodeId b) {
-                if (saliency[a] != saliency[b]) {
-                  return saliency[a] > saliency[b];
-                }
-                return a < b;
-              });
+    SortBySaliency(saliency, &by_saliency);
     // From each of the top seeds, grow a connected region by always
     // absorbing the most salient neighbor (explanations are localized
     // substructures; a bare top-k saliency set is usually disconnected).
@@ -475,88 +378,6 @@ Result<ExplanationSubgraph> StreamGvex::ExplainGraphStream(
   return out;
 }
 
-PatternReduction ReducePatterns(const std::vector<Graph>& patterns,
-                                const std::vector<Graph>& subgraphs,
-                                const Configuration& config) {
-  PatternReduction result;
-  if (subgraphs.empty()) return result;
-
-  size_t total_nodes = 0;
-  size_t total_edges = 0;
-  std::vector<size_t> node_base(subgraphs.size());
-  std::vector<size_t> edge_base(subgraphs.size());
-  for (size_t i = 0; i < subgraphs.size(); ++i) {
-    node_base[i] = total_nodes;
-    edge_base[i] = total_edges;
-    total_nodes += subgraphs[i].num_nodes();
-    total_edges += subgraphs[i].num_edges();
-  }
-
-  struct Cov {
-    DynamicBitset nodes;
-    DynamicBitset edges;
-    double weight;
-  };
-  // Same pattern×subgraph coverage matrix as Psum: independent cells, so
-  // cached lookups (the stream re-reduces the same pairs every round) fan
-  // out across the shared pool; the greedy pass below stays serial.
-  std::vector<Cov> covs(patterns.size());
-  ThreadPool::Shared().ParallelFor(patterns.size(), [&](size_t pi) {
-    covs[pi].nodes = DynamicBitset(total_nodes);
-    covs[pi].edges = DynamicBitset(total_edges);
-    for (size_t gi = 0; gi < subgraphs.size(); ++gi) {
-      CoverageResult local = MatchCache::Global().Coverage(
-          patterns[pi], subgraphs[gi], config.match);
-      for (size_t v : local.covered_nodes.ToVector()) {
-        covs[pi].nodes.Set(node_base[gi] + v);
-      }
-      for (size_t e : local.covered_edges.ToVector()) {
-        covs[pi].edges.Set(edge_base[gi] + e);
-      }
-    }
-    covs[pi].weight =
-        total_edges == 0
-            ? 0.0
-            : 1.0 - static_cast<double>(covs[pi].edges.Count()) /
-                        static_cast<double>(total_edges);
-  });
-
-  DynamicBitset covered_nodes(total_nodes);
-  DynamicBitset covered_edges(total_edges);
-  std::vector<bool> chosen(patterns.size(), false);
-  constexpr double kWeightFloor = 1e-2;
-  for (;;) {
-    size_t best = static_cast<size_t>(-1);
-    double best_ratio = 0.0;
-    for (size_t pi = 0; pi < patterns.size(); ++pi) {
-      if (chosen[pi]) continue;
-      // Greedy cover over nodes AND edges (Lemma 4.3's objective wants
-      // full node coverage with minimal edge misses, so patterns that
-      // only add edge coverage still earn selection).
-      size_t gain = covered_nodes.MarginalCount(covs[pi].nodes);
-      size_t edge_gain = covered_edges.MarginalCount(covs[pi].edges);
-      if (gain + edge_gain == 0) continue;
-      double ratio = static_cast<double>(gain + edge_gain) /
-                     (covs[pi].weight + kWeightFloor);
-      if (ratio > best_ratio) {
-        best_ratio = ratio;
-        best = pi;
-      }
-    }
-    if (best == static_cast<size_t>(-1)) break;
-    chosen[best] = true;
-    covered_nodes.UnionWith(covs[best].nodes);
-    covered_edges.UnionWith(covs[best].edges);
-    result.patterns.push_back(patterns[best]);
-  }
-  result.edge_loss =
-      total_edges == 0
-          ? 0.0
-          : 1.0 - static_cast<double>(covered_edges.Count()) /
-                      static_cast<double>(total_edges);
-  return result;
-}
-
 Result<ExplanationView> StreamGvex::ExplainLabel(
     const GraphDatabase& db, const std::vector<ClassLabel>& assigned,
     ClassLabel l, const CancellationToken* cancel, uint64_t order_seed) {
@@ -573,22 +394,11 @@ Result<ExplanationView> StreamGvex::ExplainLabel(
         MatchCache::Global().InvalidateTarget(s.subgraph);
       }
     }
-    label_in_progress_ = true;
-    resume_label_ = l;
-    group_pos_ = 0;
-    partial_view_ = ExplanationView{};
-    partial_view_.label = l;
-    label_patterns_.clear();
-    label_codes_.clear();
-    committed_stats_ = stats_;
-  } else {
-    // Roll back stats of the half-processed graph; it replays in full, so
-    // a resumed run ends with straight-through stats.
-    stats_ = committed_stats_;
+    OpenSession(l);
   }
 
   std::vector<size_t> group = GraphDatabase::LabelGroup(assigned, l);
-  for (; group_pos_ < group.size(); ++group_pos_) {
+  while (group_pos_ < group.size()) {
     size_t gi = group[group_pos_];
     if (cancel != nullptr && cancel->cancelled()) {
       Status cause = cancel->cause();
@@ -602,33 +412,51 @@ Result<ExplanationView> StreamGvex::ExplainLabel(
       Rng rng(order_seed + gi);
       rng.Shuffle(&order);
     }
-    Result<ExplanationSubgraph> sub =
-        ExplainGraphStream(g, gi, l, &label_patterns_, &label_codes_, &order);
-    if (!sub.ok()) {
-      if (sub.status().IsInfeasible()) {
-        committed_stats_ = stats_;
-        continue;
-      }
-      return sub.status();  // resume state retained for Snapshot()
-    }
-    partial_view_.explainability += sub->explainability;
-    partial_view_.subgraphs.push_back(std::move(*sub));
-    committed_stats_ = stats_;
+    Status st = CommitGraph(
+        ExplainGraphStream(g, gi, l, &label_patterns_, &label_codes_, &order));
+    // Resume state is retained for Snapshot() on an error.
+    if (!st.ok() && !st.IsInfeasible()) return st;
   }
 
-  ExplanationView view = std::move(partial_view_);
-  std::vector<Graph> patterns = std::move(label_patterns_);
+  ExplanationView view = Finalized(std::move(partial_view_));
   label_in_progress_ = false;
   partial_view_ = ExplanationView{};
   label_patterns_.clear();
   label_codes_.clear();
+  return view;
+}
 
-  // Batched Procedure 5 swap: drop patterns that stopped contributing.
+void StreamGvex::OpenSession(ClassLabel l) {
+  label_in_progress_ = true;
+  resume_label_ = l;
+  group_pos_ = 0;
+  partial_view_ = ExplanationView{};
+  partial_view_.label = l;
+  label_patterns_.clear();
+  label_codes_.clear();
+  committed_stats_ = stats_;
+}
+
+Status StreamGvex::CommitGraph(Result<ExplanationSubgraph> sub,
+                               double* explainability) {
+  if (sub.ok()) {
+    if (explainability != nullptr) *explainability = sub->explainability;
+    partial_view_.explainability += sub->explainability;
+    partial_view_.subgraphs.push_back(std::move(*sub));
+  } else if (!sub.status().IsInfeasible()) {
+    stats_ = committed_stats_;  // the graph replays in full
+    return sub.status();
+  }
+  ++group_pos_;
+  committed_stats_ = stats_;
+  return sub.status();
+}
+
+ExplanationView StreamGvex::Finalized(ExplanationView view) const {
   std::vector<Graph> raw;
   raw.reserve(view.subgraphs.size());
   for (const auto& s : view.subgraphs) raw.push_back(s.subgraph);
-  PatternReduction reduction = ReducePatterns(patterns, raw, config_);
-  view.patterns = std::move(reduction.patterns);
+  view.patterns = ReducePatterns(label_patterns_, raw, config_).patterns;
   return view;
 }
 
@@ -666,51 +494,22 @@ Status StreamGvex::Restore(const StreamGvexSnapshot& snapshot) {
 Status StreamGvex::IngestGraph(const Graph& g, size_t graph_index,
                                ClassLabel l, double* explainability) {
   if (!label_in_progress_) {
-    label_in_progress_ = true;
-    resume_label_ = l;
-    group_pos_ = 0;
-    partial_view_ = ExplanationView{};
-    partial_view_.label = l;
-    label_patterns_.clear();
-    label_codes_.clear();
-    committed_stats_ = stats_;
+    OpenSession(l);
   } else if (resume_label_ != l) {
     return Status::FailedPrecondition(
         "resident session holds label " + std::to_string(resume_label_) +
         ", cannot ingest label " + std::to_string(l));
   }
-  Result<ExplanationSubgraph> sub =
-      ExplainGraphStream(g, graph_index, l, &label_patterns_, &label_codes_);
-  if (!sub.ok()) {
-    if (sub.status().IsInfeasible()) {
-      // An unexplainable graph still advances the committed position so a
-      // journal replay lands on the same state.
-      ++group_pos_;
-      committed_stats_ = stats_;
-    } else {
-      stats_ = committed_stats_;  // roll back the half-processed graph
-    }
-    return sub.status();
-  }
-  if (explainability != nullptr) *explainability = sub->explainability;
-  partial_view_.explainability += sub->explainability;
-  partial_view_.subgraphs.push_back(std::move(*sub));
-  ++group_pos_;
-  committed_stats_ = stats_;
-  return Status::OK();
+  return CommitGraph(
+      ExplainGraphStream(g, graph_index, l, &label_patterns_, &label_codes_),
+      explainability);
 }
 
 Result<ExplanationView> StreamGvex::ResidentView() const {
   if (!label_in_progress_) {
     return Status::FailedPrecondition("no resident ingest state to finalize");
   }
-  ExplanationView view = partial_view_;
-  std::vector<Graph> raw;
-  raw.reserve(view.subgraphs.size());
-  for (const auto& s : view.subgraphs) raw.push_back(s.subgraph);
-  PatternReduction reduction = ReducePatterns(label_patterns_, raw, config_);
-  view.patterns = std::move(reduction.patterns);
-  return view;
+  return Finalized(partial_view_);
 }
 
 Result<ExplanationViewSet> StreamGvex::Explain(

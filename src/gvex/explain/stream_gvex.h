@@ -16,9 +16,12 @@
 // that no longer contribute coverage — the batched equivalent of
 // Procedure 5's swap, preserving full node coverage and small edge miss.
 //
-// C2 (consistency + counterfactual) is enforced at finalization with a
-// greedy repair from the candidate pool V_u, mirroring the lower-bound
-// top-up of Algorithm 3 line 10.
+// C2 (consistency + counterfactual) is enforced at finalization by a swap
+// repair, which trades cached nodes for pool nodes of V_u, and then by a
+// saturated-model fallback that grows regions from the most salient nodes.
+// Algorithm 3 line 10's lower-bound top-up from V_u has nothing to do:
+// Procedure 4 adds to V_u only once V_S holds u_l nodes, so V_u is empty
+// whenever V_S is short.
 #pragma once
 
 #include <string>
@@ -29,6 +32,7 @@
 #include "gvex/common/result.h"
 #include "gvex/explain/config.h"
 #include "gvex/explain/everify.h"
+#include "gvex/explain/psum.h"
 #include "gvex/explain/view.h"
 #include "gvex/gnn/model.h"
 #include "gvex/graph/graph_db.h"
@@ -71,7 +75,6 @@ class StreamGvex {
 
   const Configuration& config() const { return config_; }
   const StreamGvexStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = StreamGvexStats{}; }
 
   /// Stream the nodes of `g` (in `order` if given, else 0..n-1) and return
   /// the maintained explanation subgraph. `patterns`/`codes` carry the
@@ -135,6 +138,23 @@ class StreamGvex {
   Status Restore(const StreamGvexSnapshot& snapshot);
 
  private:
+  /// Starts a session for label l: empty partial view and pattern state,
+  /// stats committed as they stand.
+  void OpenSession(ClassLabel l);
+
+  /// Folds one graph's outcome into the session. An explained graph joins
+  /// the partial view (its contribution goes to `explainability` when
+  /// given); an explained or infeasible graph advances the committed
+  /// position and stats. Any other error rolls the stats back to the last
+  /// committed graph, which replays in full. Returns the graph's status.
+  Status CommitGraph(Result<ExplanationSubgraph> sub,
+                     double* explainability = nullptr);
+
+  /// `view` with the session's patterns reduced over its subgraphs: the
+  /// batched Procedure 5 swap, which drops patterns that stopped
+  /// contributing.
+  ExplanationView Finalized(ExplanationView view) const;
+
   const GcnClassifier* model_;
   EVerify verifier_;
   Configuration config_;
@@ -149,16 +169,5 @@ class StreamGvex {
   std::unordered_set<std::string> label_codes_;
   StreamGvexStats committed_stats_;
 };
-
-/// Reduce a pattern set to a coverage-minimal subset over `subgraphs`
-/// (greedy weighted set cover over the *given* patterns; full node
-/// coverage is preserved). Returns the reduced set and the edge loss.
-struct PatternReduction {
-  std::vector<Graph> patterns;
-  double edge_loss = 0.0;
-};
-PatternReduction ReducePatterns(const std::vector<Graph>& patterns,
-                                const std::vector<Graph>& subgraphs,
-                                const Configuration& config);
 
 }  // namespace gvex

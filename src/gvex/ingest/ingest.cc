@@ -96,28 +96,23 @@ Status IngestManager::ReplayJournal() {
     ckpt_seq[label] = entry.first;
     solvers_[label] = std::move(solver);
   }
-  uint64_t replayed = 0, accepted = 0, infeasible = 0;
+  uint64_t replayed = 0;
   uint64_t resident = 0;
   for (const auto& [label, solver] : solvers_) {
     resident += solver->resident_graphs();
   }
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    accepted_ = 0;
+    infeasible_ = 0;
+    resident_graphs_ = resident;  // checkpointed; Feed counts the rest
+  }
   for (const IngestRecord& rec : replay.graphs) {
     auto it = ckpt_seq.find(rec.label);
     if (it != ckpt_seq.end() && rec.seq <= it->second) continue;
-    StreamGvex* solver = SolverFor(rec.label);
-    double explainability = 0.0;
-    Status st =
-        solver->IngestGraph(rec.graph, rec.seq, rec.label, &explainability);
+    Status st = Feed(rec.graph, rec.seq, rec.label);
     ++replayed;
-    if (st.ok()) {
-      ++accepted;
-      ++resident;
-      window_.push_back({rec.label, rec.graph, explainability});
-      if (window_.size() > options_.drift_window) window_.pop_front();
-    } else if (st.IsInfeasible()) {
-      ++infeasible;
-      ++resident;
-    } else {
+    if (!st.ok() && !st.IsInfeasible()) {
       // Deterministic replay hits the same error the live run did; the
       // record stays journaled and the resident state stays consistent.
       GVEX_LOG(Warning) << "ingest replay: seq " << rec.seq << " failed: "
@@ -130,9 +125,7 @@ Status IngestManager::ReplayJournal() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     replayed_ = replayed;
-    accepted_ = accepted;
-    infeasible_ = infeasible;
-    resident_graphs_ = resident;
+    resident = resident_graphs_;
   }
   if (replayed > 0 || !replay.checkpoints.empty()) {
     GVEX_LOG(Info) << "ingest journal " << journal_->path() << ": resumed "
@@ -237,6 +230,22 @@ StreamGvex* IngestManager::SolverFor(ClassLabel label) {
   return it->second.get();
 }
 
+Status IngestManager::Feed(const Graph& graph, uint64_t seq,
+                           ClassLabel label) {
+  double explainability = 0.0;
+  Status st = SolverFor(label)->IngestGraph(graph, seq, label, &explainability);
+  if (st.ok()) {
+    window_.push_back({label, graph, explainability});
+    if (window_.size() > options_.drift_window) window_.pop_front();
+  }
+  if (st.ok() || st.IsInfeasible()) {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++(st.ok() ? accepted_ : infeasible_);
+    ++resident_graphs_;
+  }
+  return st;
+}
+
 void IngestManager::UpdateDrift() {
   double drift = 0.0, influence = 0.0;
   if (!window_.empty()) {
@@ -286,20 +295,12 @@ serve::Response IngestManager::ProcessGraph(const serve::Request& req) {
   next_seq_ = seq + 1;
   if (req.id != 0) seen_ids_.insert(req.id);
 
+  Status st = Feed(req.graph, seq, req.label);
   StreamGvex* solver = SolverFor(req.label);
-  double explainability = 0.0;
-  Status st = solver->IngestGraph(req.graph, seq, req.label, &explainability);
   bool published = false;
   uint64_t generation = 0;
   if (st.ok()) {
     GVEX_COUNTER_INC("ingest.accepted");
-    window_.push_back({req.label, req.graph, explainability});
-    if (window_.size() > options_.drift_window) window_.pop_front();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++accepted_;
-      ++resident_graphs_;
-    }
     ++accepted_since_publish_;
     if (journal_ != nullptr &&
         solver->resident_graphs() % options_.checkpoint_cadence == 0) {
@@ -328,11 +329,6 @@ serve::Response IngestManager::ProcessGraph(const serve::Request& req) {
     }
   } else if (st.IsInfeasible()) {
     GVEX_COUNTER_INC("ingest.infeasible");
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++infeasible_;
-      ++resident_graphs_;
-    }
     resp.support = seq;
     resp.text = "infeasible seq=" + std::to_string(seq) +
                 " label=" + std::to_string(req.label);

@@ -167,6 +167,10 @@ class IngestManager {
   serve::Response ProcessStatus(const serve::Request& req);
   /// Worker-thread only: solver for `label`, created on first sight.
   StreamGvex* SolverFor(ClassLabel label);
+  /// Worker-thread only (and Start's replay): feed one journaled graph to
+  /// its label's solver. An accepted graph enters the drift window; it and
+  /// an infeasible one count as resident, in the shared stats.
+  Status Feed(const Graph& graph, uint64_t seq, ClassLabel label);
   /// Worker-thread only: recompute window drift against the currently-
   /// served generation and store it for Info().
   void UpdateDrift();
