@@ -9,9 +9,14 @@
 namespace gvex {
 namespace {
 
-// Patterns above this size pay factorial canonicalization; key them by
-// content fingerprint instead (correct, just no isomorphism sharing).
-constexpr size_t kMaxCanonicalPatternNodes = 10;
+// The canonical search tries every order within each same-(type, degree)
+// class, so its cost grows with the factorial of the largest class: a
+// 10-node clique or edgeless pattern, one served query away, takes seconds
+// per key. Up to 6 nodes a key tries at most 6! = 720 orders (~0.25 ms),
+// and every pattern PGen mines by default (<= 5 nodes) still shares
+// entries with its isomorphs. Larger patterns are keyed by content
+// fingerprint instead (correct, just no isomorphism sharing).
+constexpr size_t kMaxCanonicalPatternNodes = 6;
 
 // Two independent FNV-1a streams with distinct offsets/avalanche give the
 // 128-bit fingerprint; each token is avalanche-mixed (splitmix64 finisher)
@@ -98,8 +103,7 @@ void MatchCache::Store(const Key& k, Value v) {
 }
 
 std::string MatchCache::PatternKey(const Graph& pattern) const {
-  if (!pattern.directed() &&
-      pattern.num_nodes() <= kMaxCanonicalPatternNodes) {
+  if (pattern.num_nodes() <= kMaxCanonicalPatternNodes) {
     return CanonicalCode(pattern);
   }
   GraphFingerprint fp = FingerprintGraph(pattern);

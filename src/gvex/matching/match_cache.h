@@ -9,10 +9,10 @@
 // so results are cached behind a sharded, thread-safe map.
 //
 // Keying (full rules in docs/PERFORMANCE.md):
-//   * pattern — canonical code (mining/canonical) for undirected patterns
-//     of <= 10 nodes, so isomorphic patterns share entries; exact content
-//     fingerprint otherwise (the canonical encoding is direction-lossy,
-//     and large patterns would pay factorial canonicalization).
+//   * pattern — canonical code (mining/canonical) for patterns of <= 6
+//     nodes, directed or not, so isomorphic patterns share entries; exact
+//     content fingerprint otherwise (canonicalization costs factorial
+//     time, and a served query may carry any pattern).
 //   * target  — 128-bit content fingerprint (order-sensitive hash over
 //     nodes, types, adjacency, edge types, directedness).
 //   * the match semantics, the result kind, and — for counts — the

@@ -2,12 +2,14 @@
 // bounded by the bytes left before it sizes anything, so a short frame
 // with a valid CRC cannot make a decoder allocate gigabytes: not a graph
 // meta line, not a response row count, not a model in an install bundle.
+// Nor can a small served pattern hold a worker in factorial work.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -16,6 +18,7 @@
 #include "gvex/cluster/bundle.h"
 #include "gvex/common/checksum.h"
 #include "gvex/common/io_util.h"
+#include "gvex/explain/view.h"
 #include "gvex/gnn/model.h"
 #include "gvex/serve/protocol.h"
 #include "gvex/serve/server.h"
@@ -265,6 +268,77 @@ TEST(HostileInputTest, InstallBundleWithAHostileModelIsRejected) {
   install.bundle = BundleAround(hostile_models[0], false);
   Response reply = server.Call(install);
   EXPECT_EQ(reply.code, StatusCode::kIoError) << reply.message;
+  server.Stop();
+}
+
+// The match cache keys a pattern by its canonical code only up to 6 nodes.
+// The canonical search tries every order within each same-(type, degree)
+// class, so a 10-node clique or edgeless pattern, with its one class of
+// 10! orders, took seconds per key, and a `support` query computes a key
+// per subgraph: one ~400-byte pattern held a worker for 47 s on a
+// 15-subgraph view. Such a pattern is now keyed by its content.
+TEST(HostileInputTest, TenNodeSymmetricPatternsAnswerSupportQuickly) {
+  ExplanationView view;
+  view.label = 0;
+  Graph edge;
+  edge.AddNode(0);
+  edge.AddNode(0);
+  ASSERT_TRUE(edge.AddEdge(0, 1).ok());
+  view.patterns.push_back(edge);
+  for (size_t i = 0; i < 4; ++i) {
+    ExplanationSubgraph sub;
+    sub.graph_index = i;
+    for (NodeId v = 0; v < 4; ++v) {
+      sub.nodes.push_back(v);
+      sub.subgraph.AddNode(0);
+    }
+    for (NodeId v = 0; v + 1 < 4; ++v) {
+      ASSERT_TRUE(sub.subgraph.AddEdge(v, v + 1).ok());
+    }
+    view.subgraphs.push_back(std::move(sub));
+  }
+  ExplanationViewSet set;
+  set.views.push_back(std::move(view));
+  ViewRegistry registry;
+  ASSERT_TRUE(registry.InstallViews(std::move(set)).ok());
+  ExplanationServer server(&registry);
+  ASSERT_TRUE(server.Start().ok());
+  SocketServer socket(&server);
+  const std::string path = testing::TempDir() + "gvex_hostile_pattern.sock";
+  ASSERT_TRUE(socket.Start(Endpoint::Unix(path)).ok());
+  RawPeer peer(path);
+  ASSERT_TRUE(peer.connected());
+
+  Graph clique;
+  Graph edgeless;
+  for (int i = 0; i < 10; ++i) {
+    clique.AddNode(0);
+    edgeless.AddNode(0);
+  }
+  for (NodeId u = 0; u < 10; ++u) {
+    for (NodeId v = u + 1; v < 10; ++v) {
+      ASSERT_TRUE(clique.AddEdge(u, v).ok());
+    }
+  }
+  for (const Graph* pattern : {&clique, &edgeless}) {
+    Request req;
+    req.type = RequestType::kSupport;
+    req.id = 1;
+    req.label = 0;
+    req.graph = *pattern;
+    req.has_graph = true;
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_TRUE(peer.Send(FrameMessage(EncodeRequestBody(req))));
+    Result<Response> reply = peer.Receive();
+    const std::chrono::duration<double> took =
+        std::chrono::steady_clock::now() - start;
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    ASSERT_TRUE(reply->ok()) << reply->message;
+    EXPECT_EQ(reply->support, 0u);
+    EXPECT_LT(took.count(), 1.0) << pattern->num_edges() << " edges";
+  }
+
+  socket.Stop();
   server.Stop();
 }
 

@@ -213,6 +213,67 @@ TEST(MatchCacheTest, IsomorphicUndirectedPatternsShareEntries) {
   EXPECT_TRUE(cache.HasMatch(p2, target, opts));
   EXPECT_EQ(cache.size(), after_first) << "isomorphic pattern missed the "
                                           "shared canonical entry";
+
+  // Directed codes carry both arcs of every pair, so a relabelled directed
+  // pattern shares its entry too.
+  Graph d1(/*directed=*/true);
+  d1.AddNode(0);
+  d1.AddNode(1);
+  ASSERT_TRUE(d1.AddEdge(0, 1).ok());
+  Graph d2(/*directed=*/true);
+  d2.AddNode(1);
+  d2.AddNode(0);
+  ASSERT_TRUE(d2.AddEdge(1, 0).ok());
+  Graph dtarget(/*directed=*/true);
+  dtarget.AddNode(0);
+  dtarget.AddNode(1);
+  ASSERT_TRUE(dtarget.AddEdge(0, 1).ok());
+  EXPECT_TRUE(cache.HasMatch(d1, dtarget, opts));
+  after_first = cache.size();
+  EXPECT_TRUE(cache.HasMatch(d2, dtarget, opts));
+  EXPECT_EQ(cache.size(), after_first) << "relabelled directed pattern "
+                                          "missed the shared entry";
+
+  // Past 6 nodes a pattern is keyed by content: a relabelled 7-node path
+  // gets an entry of its own.
+  Graph path1;
+  Graph path2;
+  Graph long_target;
+  for (NodeType t = 0; t < 7; ++t) {
+    path1.AddNode(t);
+    path2.AddNode(6 - t);
+    long_target.AddNode(t);
+  }
+  for (NodeId v = 0; v + 1 < 7; ++v) {
+    ASSERT_TRUE(path1.AddEdge(v, v + 1).ok());
+    ASSERT_TRUE(path2.AddEdge(v, v + 1).ok());
+    ASSERT_TRUE(long_target.AddEdge(v, v + 1).ok());
+  }
+  EXPECT_TRUE(cache.HasMatch(path1, long_target, opts));
+  after_first = cache.size();
+  EXPECT_TRUE(cache.HasMatch(path2, long_target, opts));
+  EXPECT_EQ(cache.size(), after_first + 1);
+
+  // A chain, an in-star and an out-star on three same-type nodes are not
+  // isomorphic: each keeps its own entry and the matcher's answer.
+  auto three = [](std::initializer_list<std::pair<NodeId, NodeId>> arcs) {
+    Graph g(/*directed=*/true);
+    for (int i = 0; i < 3; ++i) g.AddNode(0);
+    for (const auto& [u, v] : arcs) EXPECT_TRUE(g.AddEdge(u, v).ok());
+    return g;
+  };
+  const Graph chain = three({{0, 1}, {1, 2}});
+  const Graph in_star = three({{0, 2}, {1, 2}});
+  const Graph out_star = three({{2, 0}, {2, 1}});
+  MatchOptions loose;
+  loose.semantics = MatchSemantics::kSubgraph;
+  for (const Graph& t : {chain, in_star, out_star}) {
+    for (const Graph& p : {chain, in_star, out_star}) {
+      EXPECT_EQ(cache.HasMatch(p, t, loose), Vf2Matcher::HasMatch(p, t, loose));
+      EXPECT_EQ(cache.CountMatches(p, t, loose),
+                Vf2Matcher::FindMatches(p, t, loose).size());
+    }
+  }
 }
 
 TEST(MatchCacheTest, InvalidateTargetDropsOnlyThatTarget) {
