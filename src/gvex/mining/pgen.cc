@@ -31,9 +31,9 @@ struct EsuDriver {
   bool aborted = false;
 
   // Neighborhood-of-subgraph membership, maintained incrementally.
-  std::vector<uint8_t> in_sub;
-  std::vector<uint8_t> in_neighborhood;
-  std::vector<NodeId> sorted_scratch;
+  std::vector<uint8_t> in_sub{};
+  std::vector<uint8_t> in_neighborhood{};
+  std::vector<NodeId> sorted_scratch{};
 
   bool Emit(const std::vector<NodeId>& sub) {
     if (++emitted > max_enumerated) {

@@ -37,10 +37,6 @@ void Matrix::SetRow(size_t r, const std::vector<float>& values) {
   std::copy(values.begin(), values.end(), RowPtr(r));
 }
 
-std::vector<float> Matrix::GetRow(size_t r) const {
-  return std::vector<float>(RowPtr(r), RowPtr(r) + cols_);
-}
-
 float Matrix::RowL1Norm(size_t r) const {
   float sum = 0.0f;
   const float* p = RowPtr(r);

@@ -39,8 +39,8 @@ class Matrix {
   float* RowPtr(size_t r) { return data_.data() + r * cols_; }
   const float* RowPtr(size_t r) const { return data_.data() + r * cols_; }
 
-  /// Span view of a row — the no-copy alternative to GetRow/SetRow for
-  /// hot callers (GetRow allocates a fresh vector per call).
+  /// Span view of a row — the no-copy alternative to SetRow for hot
+  /// callers.
   std::span<float> Row(size_t r) { return {RowPtr(r), cols_}; }
   std::span<const float> Row(size_t r) const { return {RowPtr(r), cols_}; }
 
@@ -49,7 +49,6 @@ class Matrix {
 
   void Fill(float v);
   void SetRow(size_t r, const std::vector<float>& values);
-  std::vector<float> GetRow(size_t r) const;
 
   /// Reshape to rows x cols, all zeros, reusing the allocation when it is
   /// large enough (scratch buffers reused across calls on hot paths).

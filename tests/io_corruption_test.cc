@@ -28,7 +28,9 @@ GraphDatabase SmallDb() {
     EXPECT_TRUE(g.AddEdge(0, 1, 0).ok());
     EXPECT_TRUE(g.AddEdge(1, 2, 1).ok());
     EXPECT_TRUE(g.AddEdge(2, 3, 0).ok());
-    if (k > 0) EXPECT_TRUE(g.AddEdge(0, 3, 1).ok());
+    if (k > 0) {
+      EXPECT_TRUE(g.AddEdge(0, 3, 1).ok());
+    }
     g.SetDefaultFeatures(2, 0.5f + 0.25f * static_cast<float>(k));
     db.Add(std::move(g), k % 2, "g" + std::to_string(k));
   }

@@ -104,10 +104,14 @@ TEST_F(ObsTest, SetEnabledFalseSuppressesRecording) {
   GVEX_COUNTER_INC("test.disabled_counter");
 
   for (const auto& snap : obs::Registry::Global().Counters()) {
-    if (snap.name == "test.disabled_counter") EXPECT_EQ(snap.value, 1u);
+    if (snap.name == "test.disabled_counter") {
+      EXPECT_EQ(snap.value, 1u);
+    }
   }
   for (const auto& snap : obs::Registry::Global().Histograms()) {
-    if (snap.name == "test.disabled_hist") EXPECT_EQ(snap.count, 0u);
+    if (snap.name == "test.disabled_hist") {
+      EXPECT_EQ(snap.count, 0u);
+    }
   }
 }
 

@@ -245,7 +245,9 @@ TEST(ShardMapTest, PartitionSplitsSubgraphsByOwnerAndReplicatesPatterns) {
         EXPECT_EQ(map->OwnerOf("alpha", sub.graph_index), i);
         // ...and slice order preserves the source view's order (graph
         // indices ascend because the source's do).
-        if (!first) EXPECT_GT(sub.graph_index, last_rank);
+        if (!first) {
+          EXPECT_GT(sub.graph_index, last_rank);
+        }
         last_rank = sub.graph_index;
         first = false;
         total_explainability += sub.explainability;

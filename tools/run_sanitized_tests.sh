@@ -7,6 +7,9 @@
 # ASan/UBSan is the acceptance gate for the hardened v2 serialization:
 # loaders must return error Statuses, never crash or read out of bounds.
 #
+# Both presets compile with -Werror (CMakePresets.json), so a new compiler
+# warning fails the build leg of each.
+#
 # Usage: tools/run_sanitized_tests.sh [ctest-args...]
 #   e.g. tools/run_sanitized_tests.sh -R IoCorruption
 #
