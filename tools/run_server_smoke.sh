@@ -287,14 +287,26 @@ FP1="$(gen1_fp)"
 [[ -n "$FP1" ]] || fail "primary did not report a fingerprint"
 
 standby_stats() { "$TOOL" client --socket "$STANDBY_SOCK" --type stats; }
-wait_for_fp() {  # wait_for_fp <fingerprint>
+# standby_has PATTERN...: poll the standby's stats (kept in
+# standby_stats.json) for up to 100 x 0.1 s until one snapshot matches
+# every PATTERN.
+standby_has() {
+  local missing pattern
   for _ in $(seq 1 100); do
     standby_stats > standby_stats.json
-    grep -q "\"fingerprint\":\"$1\"" standby_stats.json && return 0
+    missing=0
+    for pattern in "$@"; do
+      grep -q "$pattern" standby_stats.json || missing=1
+    done
+    ((missing)) || return 0
     sleep 0.1
   done
   cat standby_stats.json >&2
-  fail "standby never converged on fingerprint $1"
+  return 1
+}
+wait_for_fp() {  # wait_for_fp <fingerprint>
+  standby_has "\"fingerprint\":\"$1\"" \
+    || fail "standby never converged on fingerprint $1"
 }
 wait_for_fp "$FP1"
 echo "   standby synced generation 1 ($FP1)"
@@ -317,9 +329,13 @@ grep -q "installed route=default" publish.out \
 FP2="$(sed -n 's/.*fingerprint=\([0-9a-f]\{16\}\).*/\1/p' publish.out)"
 [[ -n "$FP2" && "$FP2" != "$FP1" ]] \
   || fail "published fingerprint missing or unchanged"
-wait_for_fp "$FP2"
-grep -q '"warmed":1' standby_stats.json \
-  || fail "standby installed generation 2 but is not warm"
+# A generation goes live before ViewRegistry marks it warm (after
+# WarmMatchCache), so wait for one snapshot that shows both.
+if ! standby_has "\"fingerprint\":\"$FP2\"" '"warmed":1'; then
+  grep -q "\"fingerprint\":\"$FP2\"" standby_stats.json \
+    && fail "standby installed generation 2 but is not warm"
+  fail "standby never converged on fingerprint $FP2"
+fi
 
 echo "== cluster: fan-out publish converges both nodes (exit 0)"
 "$TOOL" publish --views views2.txt --model model.txt \
