@@ -11,6 +11,10 @@
 namespace gvex {
 namespace {
 
+// Floor under w(P) in both greedy covers' ratios: avoids division by ~0
+// weights.
+constexpr double kWeightFloor = 1e-2;
+
 // Each pattern's node and edge coverage across all subgraphs, in flat index
 // spaces that number the subgraphs' nodes (and edges) one after another.
 struct CoverTable {
@@ -72,51 +76,6 @@ CoverTable BuildCoverTable(size_t num_patterns, PatternAt pattern,
   return table;
 }
 
-// The rows a greedy cover selected, in order, and what they cover.
-struct Cover {
-  std::vector<size_t> selected;
-  DynamicBitset nodes;
-  DynamicBitset edges;
-};
-
-// Greedy weighted set cover over the table. Each round selects the row with
-// the most newly covered nodes plus edges per unit weight: newly covered
-// edges join the numerator so that at equal node gain the pattern missing
-// fewer edges wins (the w(P) objective of Lemma 4.3). Psum's rule counts a
-// row only while it adds a node and stops once every node is covered; with
-// `edge_gains` (ReducePatterns' rule) a row that adds only edges counts
-// too, and the cover runs until no row adds anything.
-Cover GreedyCover(const CoverTable& table, bool edge_gains) {
-  constexpr double kWeightFloor = 1e-2;  // avoids division by ~0 weights
-  Cover cover;
-  cover.nodes = DynamicBitset(table.total_nodes);
-  cover.edges = DynamicBitset(table.total_edges);
-  std::vector<bool> selected(table.rows.size(), false);
-  while (edge_gains || cover.nodes.Count() < table.total_nodes) {
-    size_t best = static_cast<size_t>(-1);
-    double best_ratio = 0.0;
-    for (size_t pi = 0; pi < table.rows.size(); ++pi) {
-      if (selected[pi]) continue;
-      const CoverTable::Row& row = table.rows[pi];
-      size_t gain = cover.nodes.MarginalCount(row.nodes);
-      if (gain == 0 && !edge_gains) continue;
-      gain += cover.edges.MarginalCount(row.edges);
-      if (gain == 0) continue;
-      double ratio = static_cast<double>(gain) / (row.weight + kWeightFloor);
-      if (ratio > best_ratio) {
-        best_ratio = ratio;
-        best = pi;
-      }
-    }
-    if (best == static_cast<size_t>(-1)) break;  // nothing useful left
-    selected[best] = true;
-    cover.nodes.UnionWith(table.rows[best].nodes);
-    cover.edges.UnionWith(table.rows[best].edges);
-    cover.selected.push_back(best);
-  }
-  return cover;
-}
-
 }  // namespace
 
 PsumResult Psum(const std::vector<Graph>& subgraphs,
@@ -141,19 +100,46 @@ PsumResult Psum(const std::vector<Graph>& subgraphs,
       candidates.size(),
       [&](size_t ci) -> const Graph& { return candidates[ci].pattern; },
       subgraphs, config.match);
-  Cover cover = GreedyCover(table, /*edge_gains=*/false);
-  for (size_t ci : cover.selected) {
-    result.patterns.push_back(candidates[ci].pattern);
+
+  // Greedy weighted set cover: maximize newly covered nodes per unit
+  // weight until all nodes are covered or candidates are exhausted.
+  DynamicBitset covered_nodes(table.total_nodes);
+  DynamicBitset covered_edges(table.total_edges);
+  std::vector<bool> selected(candidates.size(), false);
+  while (covered_nodes.Count() < table.total_nodes) {
+    size_t best = static_cast<size_t>(-1);
+    double best_ratio = 0.0;
+    for (size_t ci = 0; ci < candidates.size(); ++ci) {
+      if (selected[ci]) continue;
+      const CoverTable::Row& row = table.rows[ci];
+      size_t gain = covered_nodes.MarginalCount(row.nodes);
+      if (gain == 0) continue;
+      // Weighted-set-cover greedy on nodes; newly covered edges join the
+      // numerator so that at equal node gain the pattern missing fewer
+      // edges wins (the w(P) objective of Lemma 4.3).
+      size_t edge_gain = covered_edges.MarginalCount(row.edges);
+      double ratio = static_cast<double>(gain + edge_gain) /
+                     (row.weight + kWeightFloor);
+      if (ratio > best_ratio) {
+        best_ratio = ratio;
+        best = ci;
+      }
+    }
+    if (best == static_cast<size_t>(-1)) break;  // nothing useful left
+    selected[best] = true;
+    covered_nodes.UnionWith(table.rows[best].nodes);
+    covered_edges.UnionWith(table.rows[best].edges);
+    result.patterns.push_back(candidates[best].pattern);
   }
 
   // Mop-up: any node the mined candidates missed (possible when PGen
   // truncates) gets its singleton type pattern, preserving the view
   // invariant that P^l covers all of G_s^l.
-  if (cover.nodes.Count() < table.total_nodes) {
+  if (covered_nodes.Count() < table.total_nodes) {
     std::vector<NodeType> singleton_types;
     for (size_t gi = 0; gi < subgraphs.size(); ++gi) {
       for (NodeId v = 0; v < subgraphs[gi].num_nodes(); ++v) {
-        if (cover.nodes.Test(table.node_base[gi] + v)) continue;
+        if (covered_nodes.Test(table.node_base[gi] + v)) continue;
         NodeType t = subgraphs[gi].node_type(v);
         if (std::find(singleton_types.begin(), singleton_types.end(), t) ==
             singleton_types.end()) {
@@ -162,13 +148,13 @@ PsumResult Psum(const std::vector<Graph>& subgraphs,
           p.AddNode(t);
           result.patterns.push_back(std::move(p));
         }
-        cover.nodes.Set(table.node_base[gi] + v);
+        covered_nodes.Set(table.node_base[gi] + v);
       }
     }
   }
 
-  result.full_node_coverage = cover.nodes.Count() == table.total_nodes;
-  result.edge_loss = table.EdgeLoss(cover.edges);
+  result.full_node_coverage = covered_nodes.Count() == table.total_nodes;
+  result.edge_loss = table.EdgeLoss(covered_edges);
   return result;
 }
 
@@ -180,9 +166,36 @@ PatternReduction ReducePatterns(const std::vector<Graph>& patterns,
   const CoverTable table = BuildCoverTable(
       patterns.size(), [&](size_t pi) -> const Graph& { return patterns[pi]; },
       subgraphs, config.match);
-  const Cover cover = GreedyCover(table, /*edge_gains=*/true);
-  for (size_t pi : cover.selected) result.patterns.push_back(patterns[pi]);
-  result.edge_loss = table.EdgeLoss(cover.edges);
+
+  DynamicBitset covered_nodes(table.total_nodes);
+  DynamicBitset covered_edges(table.total_edges);
+  std::vector<bool> chosen(patterns.size(), false);
+  for (;;) {
+    size_t best = static_cast<size_t>(-1);
+    double best_ratio = 0.0;
+    for (size_t pi = 0; pi < patterns.size(); ++pi) {
+      if (chosen[pi]) continue;
+      // Greedy cover over nodes AND edges (Lemma 4.3's objective wants
+      // full node coverage with minimal edge misses, so patterns that
+      // only add edge coverage still earn selection).
+      const CoverTable::Row& row = table.rows[pi];
+      size_t gain = covered_nodes.MarginalCount(row.nodes);
+      size_t edge_gain = covered_edges.MarginalCount(row.edges);
+      if (gain + edge_gain == 0) continue;
+      double ratio = static_cast<double>(gain + edge_gain) /
+                     (row.weight + kWeightFloor);
+      if (ratio > best_ratio) {
+        best_ratio = ratio;
+        best = pi;
+      }
+    }
+    if (best == static_cast<size_t>(-1)) break;
+    chosen[best] = true;
+    covered_nodes.UnionWith(table.rows[best].nodes);
+    covered_edges.UnionWith(table.rows[best].edges);
+    result.patterns.push_back(patterns[best]);
+  }
+  result.edge_loss = table.EdgeLoss(covered_edges);
   return result;
 }
 
