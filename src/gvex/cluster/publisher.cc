@@ -1,6 +1,7 @@
 #include "gvex/cluster/publisher.h"
 
 #include <chrono>
+#include <map>
 #include <thread>
 #include <utility>
 
@@ -94,6 +95,76 @@ Status PublishOne(const ViewBundle& bundle, const std::string& encoded,
   return last;
 }
 
+/// One report row: ship `slice` to `endpoint` (an error fails the row
+/// unsent) and label the row `target`.
+struct PublishJob {
+  std::string target;
+  Result<serve::Endpoint> endpoint;
+  const ViewBundle* slice;
+};
+
+/// The runner behind both entry points: encodes and fingerprints each
+/// distinct slice once, runs PublishOne per job (one connection and
+/// thread per job, or all on this thread when `options.sequential`), and
+/// tallies the rows and the publish counters once. An unencodable slice
+/// is a local problem and fails the whole call before anything ships.
+Result<PublishReport> RunPublish(const std::vector<PublishJob>& jobs,
+                                 const PublishOptions& options) {
+  struct Payload {
+    std::string encoded;
+    std::string fingerprint;
+  };
+  std::map<const ViewBundle*, Payload> payloads;
+  for (const PublishJob& job : jobs) {
+    if (payloads.count(job.slice) != 0) continue;
+    GVEX_ASSIGN_OR_RETURN(std::string encoded, EncodeBundle(*job.slice));
+    GVEX_ASSIGN_OR_RETURN(std::string fingerprint,
+                          BundleFingerprint(*job.slice));
+    payloads[job.slice] = {std::move(encoded), std::move(fingerprint)};
+  }
+
+  PublishReport report;
+  report.targets.resize(jobs.size());
+  GVEX_COUNTER_ADD("cluster.publish_targets", jobs.size());
+
+  // A slow or dead target costs its own retries, not the fleet's wall
+  // clock. Sequential mode keeps everything on this thread for
+  // deterministic fault injection.
+  std::vector<std::thread> threads;
+  threads.reserve(jobs.size());
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    const PublishJob* job = &jobs[i];
+    TargetReport* row = &report.targets[i];
+    row->target = job->target;
+    auto task = [&, job, row] {
+      if (!job->endpoint.ok()) {
+        row->status = job->endpoint.status();
+        return;
+      }
+      const Payload& payload = payloads.at(job->slice);
+      row->status = PublishOne(*job->slice, payload.encoded,
+                               payload.fingerprint, *job->endpoint, options,
+                               row);
+    };
+    if (options.sequential) {
+      task();
+    } else {
+      threads.emplace_back(task);
+    }
+  }
+  for (std::thread& t : threads) t.join();
+
+  for (const TargetReport& row : report.targets) {
+    if (row.status.ok()) {
+      ++report.succeeded;
+    } else {
+      ++report.failed;
+      GVEX_COUNTER_INC("cluster.publish_failures");
+    }
+  }
+  return report;
+}
+
 }  // namespace
 
 Status PublishReport::Aggregate() const {
@@ -122,44 +193,12 @@ Result<PublishReport> FanOutPublish(const ViewBundle& bundle,
   if (options.targets.empty()) {
     return Status::InvalidArgument("publish needs at least one target");
   }
-  GVEX_ASSIGN_OR_RETURN(const std::string encoded, EncodeBundle(bundle));
-  GVEX_ASSIGN_OR_RETURN(const std::string fingerprint,
-                        BundleFingerprint(bundle));
-
-  PublishReport report;
-  report.targets.resize(options.targets.size());
-  GVEX_COUNTER_ADD("cluster.publish_targets", options.targets.size());
-
-  // One connection per target, in parallel: a slow or dead target costs
-  // its own retries, not the fleet's wall clock. Sequential mode keeps
-  // everything on this thread for deterministic fault injection.
-  std::vector<std::thread> threads;
-  threads.reserve(options.targets.size());
-  for (size_t i = 0; i < options.targets.size(); ++i) {
-    TargetReport* row = &report.targets[i];
-    const serve::Endpoint* endpoint = &options.targets[i];
-    row->target = endpoint->ToString();
-    auto task = [&, row, endpoint] {
-      row->status = PublishOne(bundle, encoded, fingerprint, *endpoint,
-                               options, row);
-    };
-    if (options.sequential) {
-      task();
-    } else {
-      threads.emplace_back(task);
-    }
+  std::vector<PublishJob> jobs;
+  jobs.reserve(options.targets.size());
+  for (const serve::Endpoint& target : options.targets) {
+    jobs.push_back({target.ToString(), target, &bundle});
   }
-  for (std::thread& t : threads) t.join();
-
-  for (const TargetReport& row : report.targets) {
-    if (row.status.ok()) {
-      ++report.succeeded;
-    } else {
-      ++report.failed;
-      GVEX_COUNTER_INC("cluster.publish_failures");
-    }
-  }
-  return report;
+  return RunPublish(jobs, options);
 }
 
 Result<PublishReport> ShardedPublish(const ViewBundle& bundle,
@@ -168,59 +207,17 @@ Result<PublishReport> ShardedPublish(const ViewBundle& bundle,
   if (map.shards().empty()) {
     return Status::InvalidArgument("sharded publish needs a non-empty map");
   }
+  // Each shard gets its own slice over the same health gate / install /
+  // verify protocol, each slice verified against its own fingerprint.
   const std::vector<ViewBundle> parts = map.Partition(bundle);
-
-  PublishReport report;
-  report.targets.resize(parts.size());
-  GVEX_COUNTER_ADD("cluster.publish_targets", parts.size());
-
-  // Each shard gets its own slice, so the work is per-shard FanOutPublish
-  // with one target — same health gate / install / verify protocol, and
-  // each slice verified against its own fingerprint.
-  std::vector<std::thread> threads;
-  threads.reserve(parts.size());
+  std::vector<PublishJob> jobs;
+  jobs.reserve(parts.size());
   for (size_t i = 0; i < parts.size(); ++i) {
-    TargetReport* row = &report.targets[i];
     const ShardEntry& shard = map.shards()[i];
-    row->target = shard.name + "=" + shard.endpoint;
-    auto task = [&, row, i, &shard = shard] {
-      Result<serve::Endpoint> endpoint = ParseEndpointSpec(shard.endpoint);
-      if (!endpoint.ok()) {
-        row->status = endpoint.status();
-        return;
-      }
-      PublishOptions one = options;
-      one.targets = {*endpoint};
-      one.sequential = true;  // already on our own thread
-      Result<PublishReport> slice = FanOutPublish(parts[i], one);
-      if (!slice.ok()) {
-        row->status = slice.status();
-        return;
-      }
-      const TargetReport& inner = slice->targets.front();
-      row->status = inner.status;
-      row->attempts = inner.attempts;
-      row->probed = inner.probed;
-      row->health = inner.health;
-      row->fingerprint = inner.fingerprint;
-    };
-    if (options.sequential) {
-      task();
-    } else {
-      threads.emplace_back(task);
-    }
+    jobs.push_back({shard.name + "=" + shard.endpoint,
+                    ParseEndpointSpec(shard.endpoint), &parts[i]});
   }
-  for (std::thread& t : threads) t.join();
-
-  for (const TargetReport& row : report.targets) {
-    if (row.status.ok()) {
-      ++report.succeeded;
-    } else {
-      ++report.failed;
-      GVEX_COUNTER_INC("cluster.publish_failures");
-    }
-  }
-  return report;
+  return RunPublish(jobs, options);
 }
 
 }  // namespace cluster

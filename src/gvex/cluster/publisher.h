@@ -92,6 +92,9 @@ class ShardMap;
 /// fingerprint). `options.targets` is ignored; endpoints come from the
 /// map. The report carries one row per shard, and Aggregate() folds a
 /// mixed outcome into kPartialFailure exactly like a replicated publish.
+/// As there, the error arm covers only local problems (an empty map, an
+/// unencodable slice); a shard whose endpoint does not parse fails its
+/// row.
 Result<PublishReport> ShardedPublish(const ViewBundle& bundle,
                                      const ShardMap& map,
                                      const PublishOptions& options);

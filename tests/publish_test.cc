@@ -12,9 +12,11 @@
 
 #include "gvex/cluster/bundle.h"
 #include "gvex/cluster/publisher.h"
+#include "gvex/cluster/shard_map.h"
 #include "gvex/common/failpoint.h"
 #include "gvex/datasets/datasets.h"
 #include "gvex/explain/approx_gvex.h"
+#include "gvex/obs/obs.h"
 #include "gvex/serve/protocol.h"
 #include "gvex/serve/server.h"
 #include "gvex/serve/socket.h"
@@ -241,6 +243,53 @@ TEST(PublishTest, RetryRecoversFromTransientProbeFault) {
   EXPECT_EQ(report->targets[0].attempts, 2);
   EXPECT_EQ(target.registry.fingerprint(kDefaultRoute), ExpectedFingerprint());
   target.Stop();
+}
+
+TEST(PublishTest, ShardedPublishCountsEachShardOnce) {
+  TestServer live, dead;
+  live.Start();
+  dead.Start();
+  auto map = ShardMap::Create(
+      {{"s0", "tcp:" + std::to_string(live.port), ""},
+       {"s1", "tcp:" + std::to_string(dead.port), ""}});
+  ASSERT_TRUE(map.ok()) << map.status().ToString();
+  dead.Stop();
+  const std::vector<ViewBundle> slices = map->Partition(TestBundle());
+  ASSERT_EQ(slices.size(), 2u);
+
+  obs::Counter& targets =
+      obs::Registry::Global().GetCounter("cluster.publish_targets");
+  obs::Counter& failures =
+      obs::Registry::Global().GetCounter("cluster.publish_failures");
+  const uint64_t targets_before = targets.Value();
+  const uint64_t failures_before = failures.Value();
+  PublishOptions options = FastOptions();
+  options.retries = 0;
+  auto report = ShardedPublish(TestBundle(), *map, options);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(targets.Value() - targets_before, 2u);
+  EXPECT_EQ(failures.Value() - failures_before, 1u);
+
+  ASSERT_EQ(report->targets.size(), 2u);
+  EXPECT_EQ(report->succeeded, 1u);
+  EXPECT_EQ(report->failed, 1u);
+  EXPECT_TRUE(report->Aggregate().IsPartialFailure());
+  const TargetReport& up = report->targets[0];
+  EXPECT_EQ(up.target, "s0=tcp:" + std::to_string(live.port));
+  EXPECT_TRUE(up.status.ok()) << up.status.ToString();
+  EXPECT_TRUE(up.probed);
+  EXPECT_EQ(up.attempts, 1);
+  auto slice_fingerprint = BundleFingerprint(slices[0]);
+  ASSERT_TRUE(slice_fingerprint.ok());
+  EXPECT_EQ(up.fingerprint, *slice_fingerprint);
+  EXPECT_EQ(live.registry.fingerprint(kDefaultRoute), *slice_fingerprint);
+  const TargetReport& down = report->targets[1];
+  EXPECT_EQ(down.target, "s1=tcp:" + std::to_string(dead.port));
+  EXPECT_FALSE(down.status.ok());
+  EXPECT_FALSE(down.probed);
+  EXPECT_EQ(down.attempts, 1);
+  EXPECT_EQ(down.fingerprint, "");
+  live.Stop();
 }
 
 TEST(PublishTest, AggregateFoldsRowsIntoTheRightStatus) {
