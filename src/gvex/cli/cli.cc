@@ -590,7 +590,6 @@ Status CmdServe(const Flags& flags) {
   serve::ServerOptions options;
   options.num_workers = flags.Number<size_t>("workers");
   options.max_queue = flags.Number<size_t>("queue");
-  options.batch_max = flags.Number<size_t>("batch");
   options.default_deadline_ms = flags.Number<uint32_t>("deadline-ms");
   // --route-quota a=16:0.25,b=8 — comma-separated name=depth[:share]
   // specs; each caps one route's queue slots (and optionally its share
@@ -1357,7 +1356,7 @@ const Command kCommands[] = {
     {"serve", CmdServe,
      {"[--views PATH] [--model PATH] [--route NAME] [--zoo PATH]",
       "[--exact-fp32 ROUTES] [--route-quota SPECS]", kEndpoint,
-      "[--workers N=4] [--queue N=256] [--batch N=8] [--deadline-ms MS=0]",
+      "[--workers N=4] [--queue N=256] [--deadline-ms MS=0]",
       "[--follow ENDPOINT] [--poll-ms MS=200]",
       "[--ingest] [--ingest-journal PATH] [--resume] [--ingest-queue N=64]",
       "[--drift-threshold X=0.25] [--drift-window N=16]",

@@ -75,7 +75,7 @@ enum class RequestType : uint8_t {
 
 /// How ExplanationServer::Submit admits a request type.
 enum class Admission : uint8_t {
-  kQueued,  ///< shared admission queue: quotas, deadlines, batching
+  kQueued,  ///< shared admission queue: quotas, deadlines, shedding
   kInline,  ///< answered on the caller's thread, never queued
   kIngest,  ///< handed to the ingest handler, never queued
 };
@@ -90,15 +90,13 @@ enum class RouterPlan : uint8_t {
   kUnsupported,     ///< kUnimplemented after route validation
 };
 
-/// \brief The facts about one request type that admission, batching,
-/// routing, metrics and the CLI branch on.
+/// \brief The facts about one request type that admission, routing,
+/// metrics and the CLI branch on.
 struct RequestTypeInfo {
   RequestType type;
   /// Wire name: the `client --type` word and the `<name>` in the
   /// `serve.exec_<name>_us` histogram.
   const char* name;
-  /// Batchable, point-routable pattern query (graph_index restricts it).
-  bool pattern_query;
   Admission admission;
   RouterPlan router;
 };
@@ -106,39 +104,39 @@ struct RequestTypeInfo {
 /// One row per RequestType, in enum order. A new type is one enum value,
 /// one row here, and its handlers.
 inline constexpr RequestTypeInfo kRequestTypes[] = {
-    {RequestType::kPing, "ping", false,
+    {RequestType::kPing, "ping",
      Admission::kQueued, RouterPlan::kLocal},
-    {RequestType::kSupport, "support", true,
+    {RequestType::kSupport, "support",
      Admission::kQueued, RouterPlan::kPointOrScatter},
-    {RequestType::kSubgraphsContaining, "contains", true,
+    {RequestType::kSubgraphsContaining, "contains",
      Admission::kQueued, RouterPlan::kPointOrScatter},
-    {RequestType::kFindHits, "hits", true,
+    {RequestType::kFindHits, "hits",
      Admission::kQueued, RouterPlan::kPointOrScatter},
-    {RequestType::kDiscriminativePatterns, "discriminative", false,
+    {RequestType::kDiscriminativePatterns, "discriminative",
      Admission::kQueued, RouterPlan::kScatter},
-    {RequestType::kClassifyExplain, "classify", false,
+    {RequestType::kClassifyExplain, "classify",
      Admission::kQueued, RouterPlan::kHome},
-    {RequestType::kStats, "stats", false,
+    {RequestType::kStats, "stats",
      Admission::kQueued, RouterPlan::kLocal},
-    {RequestType::kShutdown, "shutdown", false,
+    {RequestType::kShutdown, "shutdown",
      Admission::kQueued, RouterPlan::kLocal},
-    {RequestType::kInstall, "install", false,
+    {RequestType::kInstall, "install",
      Admission::kQueued, RouterPlan::kRejected},
-    {RequestType::kGenerations, "generations", false,
+    {RequestType::kGenerations, "generations",
      Admission::kQueued, RouterPlan::kScatter},
-    {RequestType::kFetch, "fetch", false,
+    {RequestType::kFetch, "fetch",
      Admission::kQueued, RouterPlan::kRejected},
-    {RequestType::kHealth, "health", false,
+    {RequestType::kHealth, "health",
      Admission::kInline, RouterPlan::kScatter},
-    {RequestType::kShardInfo, "shardinfo", false,
+    {RequestType::kShardInfo, "shardinfo",
      Admission::kQueued, RouterPlan::kScatter},
-    {RequestType::kCoverageStats, "coverage", false,
+    {RequestType::kCoverageStats, "coverage",
      Admission::kQueued, RouterPlan::kScatter},
-    {RequestType::kTopViews, "topviews", false,
+    {RequestType::kTopViews, "topviews",
      Admission::kQueued, RouterPlan::kScatter},
-    {RequestType::kIngest, "ingest", false,
+    {RequestType::kIngest, "ingest",
      Admission::kIngest, RouterPlan::kUnsupported},
-    {RequestType::kEvaluate, "evaluate", false,
+    {RequestType::kEvaluate, "evaluate",
      Admission::kQueued, RouterPlan::kUnsupported},
 };
 

@@ -123,7 +123,6 @@ ExplanationServer::ExplanationServer(ViewRegistry* registry,
     : registry_(registry), options_(options) {
   if (options_.num_workers == 0) options_.num_workers = 1;
   if (options_.max_queue == 0) options_.max_queue = 1;
-  if (options_.batch_max == 0) options_.batch_max = 1;
 }
 
 ExplanationServer::~ExplanationServer() { Stop(); }
@@ -203,6 +202,17 @@ std::future<Response> ExplanationServer::Submit(Request req) {
       return future;
     }
     return handler(std::move(item->req));
+  }
+
+  // A malformed route name is refused before it can key a route_load_
+  // row: health load rows carry route names as inline wire words.
+  if (!item->req.route.empty() &&
+      !cluster::IsValidRouteName(item->req.route)) {
+    item->promise.set_value(ErrorResponse(
+        item->req.id,
+        Status::InvalidArgument("invalid route name: '" + item->req.route +
+                                "' (want 1..64 chars of [A-Za-z0-9_.-])")));
+    return future;
   }
 
   const uint32_t deadline_ms = item->req.deadline_ms != 0
@@ -287,81 +297,38 @@ bool ExplanationServer::DispatchableLocked(const Item& item) const {
   return it == route_load_.end() || it->second.active < cap;
 }
 
-bool ExplanationServer::AnyDispatchableLocked() const {
-  if (queue_.empty()) return false;
-  // No worker-share quotas configured: the pre-quota fast path.
-  if (options_.route_quotas.empty()) return true;
-  for (const auto& item : queue_) {
-    if (DispatchableLocked(*item)) return true;
+std::unique_ptr<ExplanationServer::Item> ExplanationServer::TakeLocked() {
+  // Queued requests of a route sitting at its worker cap are skipped (they
+  // keep their queue slot) so other routes' requests overtake them.
+  for (auto it = queue_.begin(); it != queue_.end(); ++it) {
+    if (!DispatchableLocked(**it)) continue;
+    std::unique_ptr<Item> item = std::move(*it);
+    queue_.erase(it);
+    --route_load_[RouteOf(item->req)].queued;
+    return item;
   }
-  return false;
-}
-
-std::vector<std::unique_ptr<ExplanationServer::Item>>
-ExplanationServer::TakeBatchLocked() {
-  std::vector<std::unique_ptr<Item>> batch;
-  // The head of the batch is the oldest *dispatchable* request: queued
-  // requests of a route sitting at its worker cap are skipped (they keep
-  // their queue slot) so other routes' requests overtake them.
-  auto head_it = queue_.begin();
-  while (head_it != queue_.end() && !DispatchableLocked(**head_it)) ++head_it;
-  if (head_it == queue_.end()) return batch;
-  --route_load_[RouteOf((*head_it)->req)].queued;
-  batch.push_back(std::move(*head_it));
-  queue_.erase(head_it);
-  const Request& head = batch.front()->req;
-  if (!InfoOf(head.type).pattern_query || options_.batch_max <= 1) {
-    return batch;
-  }
-  // Greedily claim queued pattern queries against the same view (same
-  // route, same label, same match semantics): one snapshot pin + view
-  // resolution serves the whole batch, and consecutive matches against
-  // the same subgraphs reuse warm cache shards.
-  for (auto it = queue_.begin();
-       it != queue_.end() && batch.size() < options_.batch_max;) {
-    const Request& r = (*it)->req;
-    if (InfoOf(r.type).pattern_query && RouteOf(r) == RouteOf(head) &&
-        r.label == head.label && r.semantics == head.semantics) {
-      --route_load_[RouteOf(r)].queued;
-      batch.push_back(std::move(*it));
-      it = queue_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  return batch;
+  return nullptr;
 }
 
 void ExplanationServer::WorkerLoop() {
   for (;;) {
-    std::vector<std::unique_ptr<Item>> batch;
-    std::string route;
+    std::unique_ptr<Item> item;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return stopping_ || AnyDispatchableLocked(); });
-      if (queue_.empty()) {
+      // While draining every item is dispatchable, so a null claim then
+      // means the queue is empty.
+      while ((item = TakeLocked()) == nullptr) {
         if (stopping_) return;
-        continue;
+        cv_.wait(lock);
       }
-      batch = TakeBatchLocked();
-      if (batch.empty()) continue;  // woken, but every queued route capped
-      route = RouteOf(batch.front()->req);
-      ++route_load_[route].active;
+      ++route_load_[RouteOf(item->req)].active;
     }
-    if (batch.size() > 1) {
-      GVEX_COUNTER_INC("serve.batches");
-      GVEX_COUNTER_ADD("serve.batched_requests", batch.size());
-      GVEX_HISTOGRAM_RECORD("serve.batch_size", batch.size());
-    }
-    // One pin per batch; every member of a multi-item batch shares the
-    // head's route by the TakeBatchLocked key.
+    const std::string& route = RouteOf(item->req);
     auto snap = registry_->Snapshot(route);
-    for (auto& item : batch) {
-      Process(item.get(), snap.get());
-    }
-    // Request-scoped memory: everything the batch's kernels carved out of
-    // this worker's arena (CSR target views, VF2/ESU scratch) dies here in
-    // one bump-pointer reset; the blocks stay resident for the next batch.
+    Process(item.get(), snap.get());
+    // Request-scoped memory: everything the request's kernels carved out
+    // of this worker's arena (CSR target views, VF2/ESU scratch) dies here
+    // in one bump-pointer reset; the blocks stay resident for the next.
     arena::ThreadLocal().Reset();
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -464,12 +431,6 @@ Response ExplanationServer::Execute(const Request& req,
       break;
   }
 
-  if (!req.route.empty() && !cluster::IsValidRouteName(req.route)) {
-    return ErrorResponse(
-        req.id,
-        Status::InvalidArgument("invalid route name: '" + req.route +
-                                "' (want 1..64 chars of [A-Za-z0-9_.-])"));
-  }
   if (registry_ == nullptr) {
     return ErrorResponse(req.id,
                          Status::FailedPrecondition("no view registry"));
@@ -778,8 +739,6 @@ std::string ExplanationServer::StatsJson() const {
   json.Uint(options_.num_workers);
   json.Key("max_queue");
   json.Uint(options_.max_queue);
-  json.Key("batch_max");
-  json.Uint(options_.batch_max);
   {
     std::lock_guard<std::mutex> lock(mu_);
     json.Key("queue_depth");

@@ -4,13 +4,12 @@
 // queue is full the request is shed immediately with kOverloaded instead
 // of queuing unboundedly (load shedding beats collapse; the bench's
 // overload run pins this). Admitted requests are dispatched to a fixed
-// set of worker threads; a worker drains up to `batch_max` queued
-// pattern queries against the same view in one claim (micro-batching:
-// one registry snapshot pin and one view resolution per batch, and
-// consecutive same-view matches reuse warm MatchCache shards). Inner
-// per-request work (VF2 kernels, coverage) still lands on the shared
-// ThreadPool via the existing hot paths, so request-level and
-// operator-level parallelism compose (DESIGN.md §8).
+// set of worker threads; a worker claims one request at a time, the
+// oldest queued one its route's worker cap admits, and runs it under one
+// registry snapshot pin and one arena reset. Inner per-request work (VF2
+// kernels, coverage) still lands on the shared ThreadPool via the
+// existing hot paths, so request-level and operator-level parallelism
+// compose (DESIGN.md §8).
 //
 // Deadlines are part of each request's CancellationToken: Submit arms the
 // token with the request's deadline before queueing it, and there is no
@@ -34,9 +33,9 @@
 // "serve.exec_delay" (delay(<ms>): per-request service time — used by
 // the deadline tests and as the load-generator service-time model).
 //
-// Obs: "serve.*" counters (requests, shed, deadline_miss, batches,
-// batched_requests, responses_ok, responses_error) and histograms
-// (queue_wait_us, batch_size, exec_<endpoint>_us). StatsJson() — also
+// Obs: "serve.*" counters (requests, shed, quota_shed, deadline_miss,
+// responses_ok, responses_error) and histograms (queue_wait_us,
+// exec_<endpoint>_us). StatsJson() — also
 // reachable over the wire as RequestType::kStats — dumps them with the
 // registry generation and queue state.
 #pragma once
@@ -85,9 +84,6 @@ struct ServerOptions {
   /// Admission bound: requests beyond this queue depth are shed with
   /// kOverloaded.
   size_t max_queue = 256;
-  /// Micro-batch cap: a worker drains up to this many same-view pattern
-  /// queries per claim (1 disables batching).
-  size_t batch_max = 8;
   /// Applied when a request carries no deadline (0 = none).
   uint32_t default_deadline_ms = 0;
   /// Route matches through the shared MatchCache (default). The serving
@@ -117,8 +113,9 @@ class ExplanationServer {
   void Stop();
 
   /// Admission point. Returns a future that is already satisfied when
-  /// the request is shed (kOverloaded) or rejected; otherwise it
-  /// resolves when a worker completes the request.
+  /// the request is shed (kOverloaded) or rejected (a queued type with a
+  /// malformed route name is kInvalidArgument); otherwise it resolves
+  /// when a worker completes the request.
   std::future<Response> Submit(Request req);
 
   /// Synchronous convenience wrapper around Submit.
@@ -185,11 +182,11 @@ class ExplanationServer {
   void WorkerLoop();
   /// Worker cap for `route` under its quota (0 = unlimited).
   size_t MaxActiveWorkers(const std::string& route) const;
-  /// True when some queued item may be dispatched right now (its route is
-  /// under its worker cap, or the server is draining).
-  bool AnyDispatchableLocked() const;
+  /// True when `item` may be dispatched right now: its route is under its
+  /// worker cap, or the server is draining.
   bool DispatchableLocked(const Item& item) const;
-  std::vector<std::unique_ptr<Item>> TakeBatchLocked();
+  /// Removes and returns the oldest dispatchable item, or null.
+  std::unique_ptr<Item> TakeLocked();
   void Process(Item* item, const LoadedViewSet* snap);
   Response Execute(const Request& req, const LoadedViewSet* snap,
                    const CancellationToken* cancel) const;

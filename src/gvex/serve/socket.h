@@ -4,10 +4,10 @@
 // SocketServer owns the listening socket plus one accept thread and one
 // thread per live connection; every decoded request is handed to the
 // configured handler — normally an ExplanationServer, so admission
-// control, batching, and deadlines apply identically to wire and
-// in-process clients, or a ShardRouter fronting a whole fleet. A kShutdown request is
-// acknowledged on its own connection and then tears the listener down;
-// Wait() unblocks once the accept loop exits.
+// control, route quotas, and deadlines apply identically to wire and
+// in-process clients, or a ShardRouter fronting a whole fleet. A
+// kShutdown request is acknowledged on its own connection and then tears
+// the listener down; Wait() unblocks once the accept loop exits.
 //
 // SocketClient is the matching blocking client: Connect once, then
 // Call() per request (one frame out, one frame in). Both ends verify

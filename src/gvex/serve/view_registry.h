@@ -7,7 +7,7 @@
 // generation or the new one — never partial state. A failed load (corrupt
 // file, validation error, armed "serve.registry_load" / "cluster.install"
 // failpoint) leaves the current generation untouched. Workers pin a
-// snapshot with one shared_ptr copy per request batch; a superseded
+// snapshot with one shared_ptr copy per request; a superseded
 // generation stays alive until its last in-flight request drops it.
 //
 // Routes (gvex::cluster): each route holds its own (views, model)

@@ -2,7 +2,7 @@
 // the route → explainer-config table and answers kEvaluate requests,
 // dispatched to it by the ExplanationServer's EvaluateHandler hook — so
 // every evaluation rides the shared query queue and inherits admission,
-// route quotas, deadlines, micro-batching, and cancellation unchanged.
+// route quotas, deadlines, and cancellation unchanged.
 //
 // Three request forms share the kEvaluate wire type, told apart by the
 // request text (the v1 evolution rule forbids new request fields):

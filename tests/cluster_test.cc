@@ -436,10 +436,32 @@ TEST(ClusterServerTest, GenerationsFetchInstallEndToEnd) {
   EXPECT_EQ(rejected.code, StatusCode::kIoError);
   EXPECT_EQ(registry.generation("live"), 1u);
 
-  // Invalid route names are rejected before touching the registry.
+  // Invalid route names are rejected at admission, whatever the type:
+  // before touching the registry, and before keying a route load row.
   Request bad_route = fetch;
   bad_route.route = "not a route";
   EXPECT_EQ(server.Call(bad_route).code, StatusCode::kInvalidArgument);
+  Request bad_ping;
+  bad_ping.type = RequestType::kPing;
+  bad_ping.id = 5;
+  bad_ping.route = "a b";
+  EXPECT_EQ(server.Call(bad_ping).code, StatusCode::kInvalidArgument);
+
+  // Health load rows carry route names as inline words, so a row keyed
+  // by either bad name would make every later health answer undecodable.
+  Request health;
+  health.type = RequestType::kHealth;
+  health.id = 6;
+  Response healthy = server.Call(health);
+  ASSERT_TRUE(healthy.ok()) << healthy.message;
+  auto decoded =
+      serve::DecodeResponseBody(serve::EncodeResponseBody(healthy));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ASSERT_TRUE(decoded->has_health);
+  for (const serve::RouteLoad& load : decoded->health.loads) {
+    EXPECT_NE(load.route, "not a route");
+    EXPECT_NE(load.route, "a b");
+  }
   server.Stop();
 }
 

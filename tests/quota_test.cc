@@ -77,7 +77,6 @@ TEST(RouteQuotaTest, BurstRouteShedsWithoutTouchingDefaultGoodput) {
   ServerOptions options;
   options.num_workers = 2;
   options.max_queue = 64;
-  options.batch_max = 1;
   options.route_quotas["exp"] = RouteQuota{/*max_depth=*/2,
                                            /*worker_share=*/0.5};
   ExplanationServer server(&registry, options);
@@ -142,7 +141,6 @@ TEST(RouteQuotaTest, QuotaShedCountersAreBookedPerRoute) {
   ServerOptions options;
   options.num_workers = 1;
   options.max_queue = 64;
-  options.batch_max = 1;
   options.route_quotas["left"] = RouteQuota{/*max_depth=*/1,
                                             /*worker_share=*/0.0};
   options.route_quotas["right"] = RouteQuota{/*max_depth=*/1,
@@ -188,7 +186,6 @@ TEST(RouteQuotaTest, WorkerShareCapLetsDefaultRouteOvertake) {
   ViewRegistry registry;
   ServerOptions options;
   options.num_workers = 2;
-  options.batch_max = 1;
   options.route_quotas["exp"] = RouteQuota{/*max_depth=*/8,
                                            /*worker_share=*/0.5};
   ExplanationServer server(&registry, options);

@@ -119,8 +119,8 @@ TEST(ServeConcurrencyTest, SharedMatchCacheAnswersAreStable) {
 }
 
 // The same invariant through the whole server stack: concurrent clients,
-// 4 workers, micro-batching on — answers must equal the single-threaded
-// ViewQuery reference.
+// 4 workers each claiming one request at a time — answers must equal the
+// single-threaded ViewQuery reference.
 TEST(ServeConcurrencyTest, ServerUnderConcurrentLoadMatchesReference) {
   const ConcurrencyFixture& fx = Fixture();
   MatchOptions loose;
@@ -137,7 +137,6 @@ TEST(ServeConcurrencyTest, ServerUnderConcurrentLoadMatchesReference) {
   ASSERT_TRUE(registry.InstallViews(fx.set).ok());
   ServerOptions options;
   options.num_workers = 4;
-  options.batch_max = 4;
   ExplanationServer server(&registry, options);
   ASSERT_TRUE(server.Start().ok());
 
@@ -338,7 +337,6 @@ TEST(ServeConcurrencyTest, StatsJsonStaysParseableAndMonotonicUnderLoad) {
   ServerOptions options;
   options.num_workers = 2;
   options.max_queue = 3;
-  options.batch_max = 2;
   ExplanationServer server(&registry, options);
   ASSERT_TRUE(server.Start().ok());
 

@@ -412,11 +412,10 @@ TEST_F(ServeEngineTest, DeadlineExpiryMidExecutionReturnsTimeout) {
 }
 
 TEST_F(ServeEngineTest, DeadlineExpiryWhileQueuedSkipsExecution) {
-  // One worker, no batching: the first request holds the only worker in
-  // Execute while the second, with a 10 ms deadline, waits behind it.
+  // One worker: the first request holds it in Execute while the second,
+  // with a 10 ms deadline, waits behind it.
   server_->Stop();
   options_.num_workers = 1;
-  options_.batch_max = 1;
   server_ = std::make_unique<ExplanationServer>(&registry_, options_);
   ASSERT_TRUE(server_->Start().ok());
   obs::Counter& misses =
@@ -442,6 +441,57 @@ TEST_F(ServeEngineTest, DeadlineExpiryWhileQueuedSkipsExecution) {
       << "the expired request must never reach Execute";
 }
 
+TEST_F(ServeEngineTest, OneWorkerClaimsOneRequestAtATimeOldestFirst) {
+  // One worker, held in the first of two evaluate requests until
+  // support(1), evaluate, support(1) are queued behind it. A claim takes
+  // only the oldest request, so the second evaluate runs after exactly
+  // one support: the later support must not ride along with the first.
+  server_->Stop();
+  options_.num_workers = 1;
+  server_ = std::make_unique<ExplanationServer>(&registry_, options_);
+  ASSERT_TRUE(server_->Start().ok());
+  obs::Histogram& supports = obs::Registry::Global().GetHistogram(
+      ExecHistogramName(RequestType::kSupport));
+  const uint64_t supports_before = supports.Snapshot().count;
+
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  uint64_t supports_run = 0;  // written on the worker before `probe` resolves
+  server_->SetEvaluateHandler(
+      [&](const Request& req, const CancellationToken*) {
+        if (req.id == 1) {
+          entered.set_value();
+          released.wait();
+        } else {
+          supports_run = supports.Snapshot().count - supports_before;
+        }
+        Response resp;
+        resp.id = req.id;
+        return resp;
+      });
+  Request evaluate;
+  evaluate.type = RequestType::kEvaluate;
+  evaluate.id = 1;
+  std::future<Response> hold = server_->Submit(evaluate);
+  entered.get_future().wait();
+  std::future<Response> first =
+      server_->Submit(PatternRequest(RequestType::kSupport, 1));
+  evaluate.id = 2;
+  std::future<Response> probe = server_->Submit(evaluate);
+  std::future<Response> second =
+      server_->Submit(PatternRequest(RequestType::kSupport, 1));
+  release.set_value();
+
+  EXPECT_TRUE(hold.get().ok());
+  EXPECT_TRUE(first.get().ok());
+  EXPECT_TRUE(probe.get().ok());
+  EXPECT_TRUE(second.get().ok());
+  EXPECT_EQ(supports_run, 1u);
+  EXPECT_EQ(supports.Snapshot().count - supports_before, 2u);
+  server_->SetEvaluateHandler(nullptr);
+}
+
 TEST_F(ServeEngineTest, InjectedAdmissionFailureShedsExactlyOnce) {
   failpoint::ScopedFailpoint admit("serve.admit",
                                    "error(overloaded),limit(1)");
@@ -459,7 +509,6 @@ TEST(ServeAdmissionTest, FullQueueShedsWithOverloaded) {
   ServerOptions options;
   options.num_workers = 1;
   options.max_queue = 2;
-  options.batch_max = 1;
   ExplanationServer server(&registry, options);
   ASSERT_TRUE(server.Start().ok());
   {
@@ -542,6 +591,42 @@ TEST(ServeSocketTest, UnixSocketRoundTripAllTypes) {
   EXPECT_EQ(shutdown_resp->text, "shutting down");
 
   socket.Wait();  // kShutdown must unblock Wait without external Stop
+  socket.Stop();
+  server.Stop();
+}
+
+TEST(ServeSocketTest, MalformedRouteLeavesHealthDecodable) {
+  ViewRegistry registry;
+  InstallServingViews(&registry, /*with_model=*/false);
+  ExplanationServer server(&registry);
+  ASSERT_TRUE(server.Start().ok());
+  SocketServer socket(&server);
+  ASSERT_TRUE(socket.Start(Endpoint::Tcp(0)).ok());
+  const Endpoint endpoint = Endpoint::Tcp(socket.bound_port());
+
+  SocketClient bad;
+  ASSERT_TRUE(bad.Connect(endpoint).ok());
+  Request ping;
+  ping.type = RequestType::kPing;
+  ping.route = "a b";
+  auto refused = bad.Call(ping);
+  ASSERT_TRUE(refused.ok()) << refused.status().ToString();
+  EXPECT_EQ(refused->code, StatusCode::kInvalidArgument);
+  bad.Close();
+
+  // A health probe from a fresh connection still decodes: the bad name
+  // never became a load row (its space would split the inline word).
+  SocketClient probe;
+  ASSERT_TRUE(probe.Connect(endpoint).ok());
+  Request health;
+  health.type = RequestType::kHealth;
+  auto answer = probe.Call(health);
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  ASSERT_TRUE(answer->has_health);
+  for (const RouteLoad& load : answer->health.loads) {
+    EXPECT_NE(load.route, "a b");
+  }
+  probe.Close();
   socket.Stop();
   server.Stop();
 }

@@ -95,6 +95,14 @@ leg tsan-concurrent-suites tsan-build build-tsan/tests/gvex_tests \
 leg tsan-thread-pool-x100 tsan-build build-tsan/tests/gvex_tests \
   --gtest_filter='ThreadPool*' --gtest_repeat=100
 
+# The server's dispatch suites 20 times over, for the same reason: the
+# worker claim loop (oldest dispatchable request, cap skips, the wake
+# after each request) interleaves with admission and stop differently
+# from run to run.
+leg tsan-serve-dispatch-x20 tsan-build build-tsan/tests/gvex_tests \
+  --gtest_filter='ServeEngine*:ServeAdmission*:ServeConcurrency*:RouteQuota*' \
+  --gtest_repeat=20
+
 if ((${#failed[@]} > 0)); then
   echo "=== ${#failed[@]} leg(s) failed: ${failed[*]}"
   exit 1
